@@ -123,11 +123,12 @@ class P2Quantile:
         """Fold a batch of observations, bit-identically to repeated :meth:`add`.
 
         The batched update hoists the marker lists into scalar locals and
-        inlines the parabolic/linear adjustment, cutting the per-observation
-        cost ~4x — the difference between the streaming results layer
-        keeping up with the fast kernel and throttling it.  The arithmetic
-        (operation order included) is exactly :meth:`add`'s, so estimates
-        are independent of how a stream is batched.
+        inlines the parabolic/linear adjustment: ~0.35 us per observation
+        against ~0.95 us for :meth:`add` (CPython 3.11, Intel Xeon).  The
+        controller's per-interval feed and the streaming results layer
+        (:class:`~repro.system.metrics.ResponseAccumulator`) both use it.
+        The arithmetic (operation order included) is exactly :meth:`add`'s,
+        so estimates are independent of how a stream is batched.
         """
         xs = list(xs)
         start = 0

@@ -232,12 +232,15 @@ class _DiskModel:
     __slots__ = ("avail", "_oh", "_rate", "_th", "_down", "_up")
 
     def __init__(self, setup: SchedulingSetup) -> None:
-        self.avail = np.zeros(setup.num_disks, dtype=float)
-        self._oh = setup.access_overhead
-        self._rate = setup.transfer_rate
-        self._th = setup.threshold
-        self._down = setup.spindown_time
-        self._up = setup.spinup_time
+        # Lists, not arrays: each release indexes the model several times,
+        # and a list index is far cheaper than a NumPy scalar read (the
+        # double arithmetic is the same either way).
+        self.avail = [0.0] * setup.num_disks
+        self._oh = setup.access_overhead.tolist()
+        self._rate = setup.transfer_rate.tolist()
+        self._th = setup.threshold.tolist()
+        self._down = setup.spindown_time.tolist()
+        self._up = setup.spinup_time.tolist()
 
     def projected_start(self, d: int, t: float) -> float:
         """Predicted service start for a request hitting disk ``d`` at ``t``."""

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.control import P2Quantile
 from repro.control.telemetry import bin_spans
@@ -94,6 +96,53 @@ class TestP2Quantile:
             a.add(x)
             b.add(x)
         assert a.value == b.value
+
+
+def _p2_state(est):
+    # repr() of a float round-trips exactly, so equal reprs mean equal bits.
+    return repr(
+        (est.count, est._initial, est._q, est._n, est._np, est.value)
+    )
+
+
+@st.composite
+def _split_streams(draw):
+    """A stream (short, tied, constant or spread) cut into batches."""
+    finite = st.floats(-1e6, 1e6, allow_nan=False)
+    kind = draw(st.sampled_from(["spread", "ties", "constant"]))
+    n = draw(st.integers(0, 200))
+    if kind == "spread":
+        xs = draw(st.lists(finite, min_size=n, max_size=n))
+    elif kind == "ties":
+        pool = draw(st.lists(finite, min_size=1, max_size=3))
+        xs = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    else:
+        xs = [draw(finite)] * n
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    bounds = [0, *cuts, n]
+    return xs, [xs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+class TestP2AddMany:
+    """``add_many`` over any batching equals repeated ``add`` bit for bit:
+    the controller and the streaming results layer both rely on it."""
+
+    @given(
+        _split_streams(),
+        st.one_of(
+            st.sampled_from([50.0, 95.0, 99.0]),
+            st.floats(0.5, 99.5, allow_nan=False),
+        ),
+    )
+    def test_any_split_matches_repeated_add(self, stream, pct):
+        xs, batches = stream
+        ref = P2Quantile(pct)
+        batched = P2Quantile(pct)
+        for x in xs:
+            ref.add(x)
+        for batch in batches:
+            batched.add_many(batch)
+        assert _p2_state(batched) == _p2_state(ref)
 
 
 class TestBinSpans:

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.disk.dpm import make_dpm_ladder
+from repro.disk.dpm import DpmLadder, LadderRung, make_dpm_ladder
 from repro.errors import ConfigError
-from repro.sim.fastkernel import simulate_fast
+from repro.sim.fastkernel import _ControlledLadderBank, simulate_fast
 from repro.system import StorageConfig, StorageSystem, allocate
 from repro.workload.generator import SyntheticWorkloadParams, generate_workload
 
@@ -204,3 +204,76 @@ class TestLadderKernel:
         )
         assert res.spindowns > 0
         assert "nap" in res.state_durations
+
+
+class TestControlledLadderServeBatch:
+    """The hoisted ``serve_batch`` replays per-disk runs exactly like one
+    ``serve`` per request (the reference) on a twin bank."""
+
+    INTERVAL = 100.0
+    N_INTERVALS = 12
+    #: Inside the last interval, so wakes and tails clip at the horizon.
+    HORIZON = 1_160.0
+
+    @staticmethod
+    def _ladders():
+        flat = DpmLadder("flat", (LadderRung("idle", SPEC.idle_power),))
+        return [
+            make_dpm_ladder("drpm4", SPEC),
+            make_dpm_ladder("nap", SPEC),
+            flat,  # R == 1: never descends
+            make_dpm_ladder("drpm4", SPEC),
+        ]
+
+    @staticmethod
+    def _thresholds(rng, n):
+        # Immediate descent, a random timeout, or never (inf).
+        return np.array([
+            rng.choice([0.0, rng.uniform(0.0, 60.0), math.inf])
+            for _ in range(n)
+        ])
+
+    @staticmethod
+    def _state(bank):
+        return (
+            bank.avail, bank.pt, bank.pv, bank.load, bank.gap_log,
+            bank.n_up, bank.n_down, bank.park_t, bank.down_t, bank.wake_t,
+            bank.park_spans, bank.down_spans, bank.wake_spans,
+        )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_batch_matches_per_request_serve(self, seed):
+        rng = np.random.default_rng(seed)
+        ladders = self._ladders()
+        n = len(ladders)
+        init = self._thresholds(rng, n)
+        batched, reference = (
+            _ControlledLadderBank(
+                n, init, ladders, SPEC, self.HORIZON, self.INTERVAL
+            )
+            for _ in range(2)
+        )
+        for k in range(self.N_INTERVALS):
+            lo = k * self.INTERVAL
+            for d in range(n):
+                m = int(rng.integers(0, 8))
+                ts = np.sort(rng.uniform(lo, lo + self.INTERVAL, m))
+                if m > 1:
+                    ts[1] = ts[0]  # a same-instant pair (pt/pv snapshot)
+                ts = ts[ts < self.HORIZON].tolist()
+                # Long services queue later arrivals behind the backlog.
+                trs = rng.exponential(8.0, len(ts)).tolist()
+                got = batched.serve_batch(d, ts, trs)
+                want = [reference.serve(d, t, tr) for t, tr in zip(ts, trs)]
+                assert got == want
+            new = self._thresholds(rng, n)
+            batched.push_thresholds(new)
+            reference.push_thresholds(new)
+        assert self._state(batched) == self._state(reference)
+        assert batched.apply_tail()[1].tolist() == (
+            reference.apply_tail()[1].tolist()
+        )
+        assert self._state(batched) == self._state(reference)
+        # Not vacuous: gaps were walked and the flat disk never descended.
+        assert sum(batched.n_down) > 0 and any(batched.gap_log)
+        assert batched.n_down[2] == 0
