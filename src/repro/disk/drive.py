@@ -34,6 +34,31 @@ READ = "read"
 WRITE = "write"
 
 
+def _first_of(env: Environment, wake: Event, timer: Event) -> Event:
+    """An event that succeeds one hop after ``wake`` or ``timer`` fires.
+
+    The idle wait's lightweight ``env.any_of([wake, timer])``: whichever
+    sub-event is processed first schedules this event at the same instant,
+    and the waiting drive resumes only when the loop reaches it.  That
+    extra hop is load-bearing: when an arrival lands on the timer's
+    instant but is queued behind it, the arrival is processed between the
+    timer and this event, so the resumed drive sees the request and stays
+    up.  Resuming straight from the timer's callback would spin it down.
+    Same hop count and same-instant order as the
+    :class:`~repro.sim.events.AnyOf` it replaces, without building a
+    condition value nobody reads.
+    """
+    gate = Event(env)
+
+    def fire(_event: Event) -> None:
+        if not gate.triggered:
+            gate.succeed()
+
+    wake.callbacks.append(fire)
+    timer.callbacks.append(fire)
+    return gate
+
+
 class DiskRequest:
     """One I/O request travelling through a drive.
 
@@ -168,8 +193,10 @@ class DiskDrive:
 
         Duck-typed with :class:`~repro.disk.multistate.MultiStateDiskDrive`
         so the dispatcher's placement context reads either drive kind.
+        Same answer as ``self.state.spinning``, read in one hop because
+        write placement asks it of every drive.
         """
-        return self.state.spinning
+        return self.timeline.state is not DiskState.STANDBY
 
     @property
     def queue_depth(self) -> int:
@@ -218,40 +245,48 @@ class DiskDrive:
 
     def _run(self, initial_state: DiskState):
         env = self.env
-        spec = self.spec
+        timeout = env.timeout
+        pending = self._pending
+        set_state = self.timeline.set
+        set_queue = self.queue_length.set
+        record_completion = self.stats.record_completion
+        access_overhead = self.spec.access_overhead
+        transfer_rate = self.spec.transfer_rate
+        IDLE, SEEK, ACTIVE = DiskState.IDLE, DiskState.SEEK, DiskState.ACTIVE
 
         if initial_state is DiskState.STANDBY:
             yield from self._sleep_then_spin_up()
 
         while True:
-            if not self._pending:
-                self.timeline.set(DiskState.IDLE)
+            if not pending:
+                set_state(IDLE)
                 # The queue just drained: the gap starting now is governed
                 # by the *current* threshold (the timer armed below), even
                 # if a control loop changes ``self.threshold`` mid-gap.
+                threshold = self.threshold
                 self._drain_time = env.now
-                self._drain_threshold = self.threshold
-                if math.isinf(self.threshold):
+                self._drain_threshold = threshold
+                if math.isinf(threshold):
                     yield self._arrival_event()
                 else:
                     wake = self._arrival_event()
-                    timer = env.timeout(self.threshold)
-                    yield env.any_of([wake, timer])
-                    if not self._pending:
+                    yield _first_of(env, wake, timeout(threshold))
+                    if not pending:
                         # The idleness threshold expired: power down.
                         yield from self._spin_down()
                         yield from self._sleep_then_spin_up()
                 continue
 
-            request = self._pending.popleft()
-            self.queue_length.set(len(self._pending))
-            self.timeline.set(DiskState.SEEK)
-            yield env.timeout(spec.access_overhead)
-            self.timeline.set(DiskState.ACTIVE)
-            yield env.timeout(spec.transfer_time(request.size))
-            self.timeline.set(DiskState.IDLE)
+            request = pending.popleft()
+            set_queue(len(pending))
+            set_state(SEEK)
+            yield timeout(access_overhead)
+            set_state(ACTIVE)
+            # ``spec.transfer_time`` inlined: the same single division.
+            yield timeout(request.size / transfer_rate)
+            set_state(IDLE)
             response = env.now - request.arrival_time
-            self.stats.record_completion(response, request.size, request.kind)
+            record_completion(response, request.size, request.kind)
             request.done.succeed(response)
 
     def _spin_down(self):

@@ -36,7 +36,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.disk.dpm import DpmLadder, MultiStateDpmPolicy
-from repro.disk.drive import DiskRequest, DriveStats, READ
+from repro.disk.drive import DiskRequest, DriveStats, READ, _first_of
 from repro.disk.specs import DiskSpec
 from repro.errors import SimulationError
 from repro.sim.environment import Environment
@@ -100,6 +100,11 @@ class MultiStateDiskDrive:
         self.timeline = StateTimeline(
             env, ladder.rungs[0].name, record_history
         )
+        # The only label that reads as spun down (see :attr:`spinning`);
+        # ``None`` for a one-rung ladder, which never spins down.
+        self._deepest: Optional[str] = (
+            ladder.rungs[-1].name if len(ladder.rungs) > 1 else None
+        )
         self._pending: Deque[DiskRequest] = deque()
         self._wake: Optional[Event] = None
         #: Closed idle gaps ``(gap_seconds, threshold_at_drain)`` appended
@@ -126,10 +131,7 @@ class MultiStateDiskDrive:
         the deepest rung* counts as spun down — descents (like Figure 1's
         SPINDOWN), intermediate reduced-RPM rungs and wakes all spin.
         """
-        rungs = self.ladder.rungs
-        return not (
-            len(rungs) > 1 and self.timeline.state == rungs[-1].name
-        )
+        return self.timeline.state != self._deepest
 
     @property
     def queue_depth(self) -> int:
@@ -177,17 +179,27 @@ class MultiStateDiskDrive:
 
     def _run(self):
         env = self.env
-        spec = self.spec
+        timeout = env.timeout
+        pending = self._pending
+        set_state = self.timeline.set
+        set_queue = self.queue_length.set
+        record_completion = self.stats.record_completion
+        access_overhead = self.spec.access_overhead
+        transfer_rate = self.spec.transfer_rate
+        scaled_entries = self.ladder.scaled_entries
         rungs = self.ladder.rungs
         depth = len(rungs)
+        parked = rungs[0].name
+        down_labels = [f"down:{rung.name}" for rung in rungs]
+        wake_labels = [f"wake:{rung.name}" for rung in rungs]
         while True:
-            if not self._pending:
+            if not pending:
                 drain = env.now
                 threshold = self.threshold
                 self._drain_time = drain
                 self._drain_threshold = threshold
-                entries = self.ladder.scaled_entries(threshold)
-                self.timeline.set(rungs[0].name)
+                entries = scaled_entries(threshold)
+                set_state(parked)
                 woke = 0
                 if depth == 1 or math.isinf(entries[1]):
                     yield self._arrival_event()
@@ -198,18 +210,18 @@ class MultiStateDiskDrive:
                         # or an arrival, whichever comes first.
                         wake = self._arrival_event()
                         remaining = entries[i] - (env.now - drain)
-                        timer = env.timeout(max(0.0, remaining))
-                        yield env.any_of([wake, timer])
-                        if self._pending:
+                        timer = timeout(max(0.0, remaining))
+                        yield _first_of(env, wake, timer)
+                        if pending:
                             woke = i - 1
                             break
                         # Non-abortable descent into rung i: an arrival
                         # during it waits for the transition to finish.
-                        self.timeline.set(f"down:{rungs[i].name}")
+                        set_state(down_labels[i])
                         self.stats.spindowns += 1
-                        yield env.timeout(rungs[i].down_time)
-                        self.timeline.set(rungs[i].name)
-                        if self._pending:
+                        yield timeout(rungs[i].down_time)
+                        set_state(rungs[i].name)
+                        if pending:
                             woke = i
                             break
                         if i + 1 < depth:
@@ -221,21 +233,22 @@ class MultiStateDiskDrive:
                         break
                 if woke > 0:
                     rung = rungs[woke]
-                    self.timeline.set(f"wake:{rung.name}")
+                    set_state(wake_labels[woke])
                     self.stats.spinups += 1
                     if rung.wake_time > 0:
-                        yield env.timeout(rung.wake_time)
+                        yield timeout(rung.wake_time)
                 continue
 
-            request = self._pending.popleft()
-            self.queue_length.set(len(self._pending))
-            self.timeline.set("seek")
-            yield env.timeout(spec.access_overhead)
-            self.timeline.set("active")
-            yield env.timeout(spec.transfer_time(request.size))
-            self.timeline.set(rungs[0].name)
+            request = pending.popleft()
+            set_queue(len(pending))
+            set_state("seek")
+            yield timeout(access_overhead)
+            set_state("active")
+            # ``spec.transfer_time`` inlined: the same single division.
+            yield timeout(request.size / transfer_rate)
+            set_state(parked)
             response = env.now - request.arrival_time
-            self.stats.record_completion(response, request.size, request.kind)
+            record_completion(response, request.size, request.kind)
             request.done.succeed(response)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

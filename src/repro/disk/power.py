@@ -26,6 +26,13 @@ class DiskState(Enum):
     SPINUP = "spinup"
     SPINDOWN = "spindown"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality.  Enum's default hashes the name in Python
+    # code, and a drive's state timeline hashes its state on every
+    # transition.  Both hashes vary between processes, so nothing can
+    # depend on the values.
+    __hash__ = object.__hash__
+
     @property
     def spinning(self) -> bool:
         """Whether the platters are (or are being brought) up to speed."""

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.obs.hooks import RunObserver
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 
 __all__ = ["TraceRecorder", "sweep_chrome_trace", "write_trace"]
 
@@ -61,16 +61,31 @@ class TraceRecorder(RunObserver):
         self.threshold_events: List[Tuple[float, Tuple[float, ...]]] = []
         self.placements: List[Tuple[float, int, int]] = []
         self.registry = MetricsRegistry()
+        # Per-state / per-kind counters, fetched from the registry on first
+        # use (so it creates them in the same order) and then reused: the
+        # span and cache hooks fire once per dwell and once per lookup.
+        self._span_counters: Dict[str, Counter] = {}
+        self._cache_counters: Dict[str, Counter] = {}
 
     # -- RunObserver hooks -------------------------------------------------
 
     def on_state_span(self, disk: int, state: str, start: float, end: float) -> None:
         self.state_spans.append((disk, state, start, end))
-        self.registry.counter(f"span.{state}").inc()
+        counter = self._span_counters.get(state)
+        if counter is None:
+            counter = self._span_counters[state] = self.registry.counter(
+                f"span.{state}"
+            )
+        counter.value += 1
 
     def on_cache_event(self, time: float, kind: str, file_id: int) -> None:
         self.cache_events.append((time, kind, file_id))
-        self.registry.counter(f"cache.{kind}").inc()
+        counter = self._cache_counters.get(kind)
+        if counter is None:
+            counter = self._cache_counters[kind] = self.registry.counter(
+                f"cache.{kind}"
+            )
+        counter.value += 1
 
     def on_thresholds(self, time: float, thresholds: Sequence[float]) -> None:
         self.threshold_events.append((time, tuple(float(t) for t in thresholds)))

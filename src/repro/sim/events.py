@@ -95,7 +95,7 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value`` and schedule it."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
@@ -130,8 +130,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env, delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # also rejects NaN, which compares false
+            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
         super().__init__(env)
         self.delay = delay
         self._ok = True
@@ -204,24 +204,26 @@ class Process(Event):
         self._resume(event)
 
     def _resume(self, event: Event) -> None:
-        self.env.active_process = self
+        env = self.env
+        generator = self._generator
+        env.active_process = self
         while True:
             try:
                 if event._ok:
-                    next_event = self._generator.send(event._value)
+                    next_event = generator.send(event._value)
                 else:
                     # The process handles the failure (defuses it).
                     event._defused = True
-                    next_event = self._generator.throw(event._value)
+                    next_event = generator.throw(event._value)
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                self.env._schedule(self)
+                env._schedule(self)
                 break
             except BaseException as exc:  # process died
                 self._ok = False
                 self._value = exc
-                self.env._schedule(self)
+                env._schedule(self)
                 break
 
             if not isinstance(next_event, Event):
@@ -229,22 +231,23 @@ class Process(Event):
                     f"process yielded a non-event: {next_event!r}"
                 )
                 try:
-                    self._generator.throw(exc)
+                    generator.throw(exc)
                 except BaseException:
                     pass  # the process dies regardless of what it does
                 self._ok = False
                 self._value = exc
-                self.env._schedule(self)
+                env._schedule(self)
                 break
 
-            if next_event.processed:
-                # Already over: loop and feed its value straight back in.
+            callbacks = next_event.callbacks
+            if callbacks is None:
+                # Already processed: loop and feed its value straight back.
                 event = next_event
                 continue
-            next_event.callbacks.append(self._resume)
+            callbacks.append(self._resume)
             self._target = next_event
             break
-        self.env.active_process = None
+        env.active_process = None
 
 
 class ConditionValue(dict):

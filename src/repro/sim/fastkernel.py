@@ -248,7 +248,7 @@ class _DiskBank:
     __slots__ = (
         "avail", "sd_t", "su_t", "sb_t", "n_up", "n_down", "load",
         "th", "no_spindown", "D", "U", "oh", "rate", "oh_a", "rate_a",
-        "ap", "cap", "T", "pt", "pv",
+        "ap", "cap", "T", "pt", "pv", "th_a", "D_a",
     )
 
     def __init__(
@@ -282,6 +282,9 @@ class _DiskBank:
         self.rate = [s.transfer_rate for s in specs]
         self.oh_a = np.asarray(self.oh, dtype=float)
         self.rate_a = np.asarray(self.rate, dtype=float)
+        # Spin-view constants for :meth:`spinning_mask`.
+        self.th_a = np.asarray(self.th, dtype=float)
+        self.D_a = np.asarray(self.D, dtype=float)
         self.ap = np.array([s.active_power for s in specs], dtype=float)
         self.cap = None  # per-disk usable bytes, set by _simulate_chunks
         self.T = horizon
@@ -408,12 +411,21 @@ class _DiskBank:
         straight back up.  Same-instant earlier serves are excluded via the
         instant-start snapshot: a disk woken at exactly ``t`` still reads
         STANDBY, like the event kernel's not-yet-resumed drive process.
+
+        When no disk was served at ``t`` itself (the common case) the
+        snapshot is ``avail`` unchanged, so the mask is one vector
+        expression; otherwise the per-disk snapshot loop builds it.  Both
+        paths evaluate ``(avail + th) + D`` in the same order, so they
+        agree bit for bit.
         """
-        avail = np.asarray(self._avail_at_instant_start(t))
         if self.no_spindown:
-            return np.ones(avail.shape, dtype=bool)
+            return np.ones(len(self.avail), dtype=bool)
+        if t in self.pt:
+            avail = np.asarray(self._avail_at_instant_start(t))
+        else:
+            avail = np.asarray(self.avail)
         # inf-threshold disks get avail + inf == inf: always spinning.
-        return t < avail + np.asarray(self.th) + np.asarray(self.D)
+        return t < avail + self.th_a + self.D_a
 
     def tail_arrays(self):
         """Spin/transition accounting as arrays, with trailing idleness.
@@ -2647,10 +2659,9 @@ def _simulate_chunks(
             DiskState.SPINUP: spinup_time,
             DiskState.SPINDOWN: spindown_time,
         }
+        models = [PowerModel(s) for s in specs]
         state_power = {
-            state: np.array(
-                [PowerModel(s).power(state) for s in specs], dtype=float
-            )
+            state: np.array([m.power(state) for m in models], dtype=float)
             for state in per_state
         }
         energy_per_disk = np.zeros(num_disks, dtype=float)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import partial
 from typing import List, Optional, Union
 
 import numpy as np
@@ -220,6 +221,7 @@ class Dispatcher:
         # policies comparing load (coldest_disk) then decide identically
         # in both engines.
         self.dispatched_seconds = np.zeros(len(array), dtype=float)
+        self._drives = array.disks
         self._access_overhead = array.access_overheads
         self._transfer_rate = array.transfer_rates
         self._active_power = array.active_power
@@ -253,29 +255,29 @@ class Dispatcher:
             self._submit_write(file_id, response_offset)
             return
         size = self.sizes[file_id]
-        if self.cache is not None:
-            if self.cache.lookup(file_id, size):
-                if self.observer is not None:
-                    self.observer.on_cache_event(self.env.now, "hit", file_id)
+        cache = self.cache
+        if cache is not None:
+            observer = self.observer
+            if cache.lookup(file_id, size):
+                if observer is not None:
+                    observer.on_cache_event(self.env.now, "hit", file_id)
                 value = self.cache_hit_latency
                 if response_offset:
                     value += response_offset
                 self.response_times.append(value)
                 self.served_from_cache.append(True)
                 return
-            if self.observer is not None:
-                self.observer.on_cache_event(self.env.now, "miss", file_id)
-        disk = self.mapping[file_id]
+            if observer is not None:
+                observer.on_cache_event(self.env.now, "miss", file_id)
+        disk = int(self.mapping[file_id])
         if disk < 0:
             raise SimulationError(
                 f"read of unallocated file {file_id}; allocate it first"
             )
-        self._track_dispatch(int(disk), size)
-        request = self.array.submit(int(disk), file_id, size, READ)
+        self._track_dispatch(disk, size)
+        request = self._drives[disk].submit(file_id, size, READ)
         request.done.callbacks.append(
-            lambda ev, fid=file_id, sz=size, off=response_offset: (
-                self._complete(ev, fid, sz, off)
-            )
+            partial(self._complete, file_id, size, response_offset)
         )
 
     def _track_dispatch(self, disk: int, size: float) -> None:
@@ -290,7 +292,7 @@ class Dispatcher:
         )
 
     def _complete(
-        self, event, file_id: int, size: float, offset: float = 0.0
+        self, file_id: int, size: float, offset: float, event
     ) -> None:
         value = event.value
         if offset:
@@ -315,12 +317,12 @@ class Dispatcher:
             self.free_bytes[disk] -= size
         self.write_count += 1
         self._track_dispatch(int(disk), size)
-        request = self.array.submit(int(disk), file_id, size, WRITE)
+        request = self._drives[int(disk)].submit(file_id, size, WRITE)
         request.done.callbacks.append(
-            lambda ev, off=response_offset: self._complete_write(ev, off)
+            partial(self._complete_write, response_offset)
         )
 
-    def _complete_write(self, event, offset: float = 0.0) -> None:
+    def _complete_write(self, offset: float, event) -> None:
         value = event.value
         if offset:
             value += offset
@@ -335,20 +337,19 @@ class Dispatcher:
         assembles the :class:`~repro.system.placement.PlacementContext`
         from the live drives' spin states and the dispatch ledger.
         """
-        spinning = np.fromiter(
-            (d.spinning for d in self.array.disks),
-            dtype=bool,
-            count=len(self.array),
-        )
         ctx = PlacementContext(
             time=self.env.now,
-            spinning=spinning,
+            spinning=self.spin_view(),
             free=self.free_bytes,
             load=self.dispatched_seconds,
             capacity=self._capacities,
             active_power=self._active_power,
         )
         return self.write_policy.choose(ctx, size)
+
+    def spin_view(self) -> np.ndarray:
+        """Per-drive ``spinning`` flags, the placement policy's spin view."""
+        return np.array([d.spinning for d in self._drives], dtype=bool)
 
     # -- accessors ---------------------------------------------------------------
 
@@ -375,10 +376,12 @@ def drive_stream(env: Environment, dispatcher: Dispatcher, stream) -> "object":
     metric downstream.  The comparison is against the stream's own previous
     timestamp (not the accumulated clock), so equal arrival times are fine.
     """
-    last: Optional[float] = None
+    timeout = env.timeout
+    submit = dispatcher.submit
+    last = -math.inf  # nothing compares below it: the first item passes
     for item in stream:
         t, file_id, *rest = item
-        if last is not None and t < last:
+        if t < last:
             raise SimulationError(
                 f"request stream times must be non-decreasing: got {t} "
                 f"after {last}"
@@ -386,8 +389,8 @@ def drive_stream(env: Environment, dispatcher: Dispatcher, stream) -> "object":
         last = t
         delay = t - env.now
         if delay > 0:
-            yield env.timeout(delay)
-        dispatcher.submit(file_id, kind=rest[0] if rest else READ)
+            yield timeout(delay)
+        submit(file_id, kind=rest[0] if rest else READ)
 
 
 def drive_scheduled_stream(

@@ -451,7 +451,10 @@ class SlackDefer(RequestScheduler):
                 f"slack_defer window must be positive, got {window}"
             )
         self._window = float(window)
-        self._setup = setup
+        # List copies of the frozen tables: one list index per release
+        # instead of NumPy scalar reads (same doubles either way).
+        self._mapping = setup.mapping.tolist()
+        self._sizes = setup.sizes.tolist()
         self._model = _DiskModel(setup)
 
     def release(
@@ -461,14 +464,12 @@ class SlackDefer(RequestScheduler):
         kind: str,
         slo_estimate: Optional[float] = None,
     ) -> float:
-        setup = self._setup
-        d = -1
-        if 0 <= file_id < setup.mapping.size:
-            d = int(setup.mapping[file_id])
+        mapping = self._mapping
+        d = mapping[file_id] if 0 <= file_id < len(mapping) else -1
         if d < 0:
             return t  # not yet placed: pass through, model untouched
         model = self._model
-        size = setup.sizes[file_id]
+        size = self._sizes[file_id]
         r = t
         stressed = slo_estimate is not None and slo_estimate > self._budget
         if not stressed:
@@ -552,7 +553,8 @@ class SpinupCoalesce(RequestScheduler):
         if self.params["max_hold"] < 0:
             raise ConfigError("spinup_coalesce max_hold must be >= 0")
         self._max_hold = float(self.params["max_hold"])
-        self._setup = setup
+        self._mapping = setup.mapping.tolist()
+        self._sizes = setup.sizes.tolist()
         self._model = _DiskModel(setup)
         self._group_until = np.full(setup.num_disks, -math.inf)
 
@@ -563,10 +565,8 @@ class SpinupCoalesce(RequestScheduler):
         kind: str,
         slo_estimate: Optional[float] = None,
     ) -> float:
-        setup = self._setup
-        d = -1
-        if 0 <= file_id < setup.mapping.size:
-            d = int(setup.mapping[file_id])
+        mapping = self._mapping
+        d = mapping[file_id] if 0 <= file_id < len(mapping) else -1
         if d < 0:
             return t
         model = self._model
@@ -579,5 +579,5 @@ class SpinupCoalesce(RequestScheduler):
             self._group_until[d] = r  # open a group; wake once, together
         else:
             r = t
-        model.commit(d, r, setup.sizes[file_id])
+        model.commit(d, r, self._sizes[file_id])
         return r

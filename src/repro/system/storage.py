@@ -39,20 +39,30 @@ def _state_label(state) -> str:
     return state.name.lower() if isinstance(state, DiskState) else str(state)
 
 
+class _SpanLabels(dict):
+    """``state -> _state_label(state)``, computed once per distinct state."""
+
+    def __missing__(self, state) -> str:
+        label = self[state] = _state_label(state)
+        return label
+
+
 def _emit_timeline_spans(observer, drives, horizon: float) -> None:
     """Walk each drive's recorded timeline history, emitting one
     ``on_state_span`` per dwell (the final open dwell closes at the
     horizon) — the event engine's full per-request granularity."""
+    labels = _SpanLabels()
+    on_state_span = observer.on_state_span
     for d, drive in enumerate(drives):
         history = drive.timeline.history
         if not history:
             continue
         for (t0, state), (t1, _next) in zip(history, history[1:]):
             if t1 > t0:
-                observer.on_state_span(d, _state_label(state), t0, t1)
+                on_state_span(d, labels[state], t0, t1)
         t_last, s_last = history[-1]
         if horizon > t_last:
-            observer.on_state_span(d, _state_label(s_last), t_last, horizon)
+            on_state_span(d, labels[s_last], t_last, horizon)
 
 
 class StorageSystem:

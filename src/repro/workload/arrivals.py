@@ -16,6 +16,9 @@ from repro.sim.rng import rng_from_seed
 
 __all__ = ["RequestStream", "poisson_arrival_times", "sample_file_ids"]
 
+#: Requests converted per ``tolist()`` block when a stream is iterated.
+ITER_BLOCK = 65_536
+
 
 def poisson_arrival_times(rate: float, duration: float, rng=None) -> np.ndarray:
     """Arrival times of a homogeneous Poisson process on ``[0, duration)``.
@@ -121,8 +124,12 @@ class RequestStream:
         return int(self.times.shape[0])
 
     def __iter__(self) -> Iterator[Tuple[float, int]]:
-        for t, f in zip(self.times, self.file_ids):
-            yield float(t), int(f)
+        # Whole blocks through ``tolist()``: plain float/int items without
+        # a NumPy scalar read and conversion per request.
+        times, file_ids = self.times, self.file_ids
+        for lo in range(0, len(times), ITER_BLOCK):
+            hi = lo + ITER_BLOCK
+            yield from zip(times[lo:hi].tolist(), file_ids[lo:hi].tolist())
 
     def chunks(self, chunk_size: int):
         """A chunked view of this stream (the ``ChunkedStream`` protocol).

@@ -19,7 +19,7 @@ import numpy as np
 from repro.disk.drive import READ, WRITE
 from repro.errors import ConfigError
 from repro.sim.rng import rng_from_seed
-from repro.workload.arrivals import RequestStream
+from repro.workload.arrivals import ITER_BLOCK, RequestStream
 from repro.workload.catalog import FileCatalog
 
 __all__ = ["MixedRequestStream", "MixedWorkloadParams", "generate_mixed_workload"]
@@ -55,8 +55,18 @@ class MixedRequestStream:
         return int(self.times.shape[0])
 
     def __iter__(self) -> Iterator[Tuple[float, int, str]]:
-        for t, f, k in zip(self.times, self.file_ids, self.kinds):
-            yield float(t), int(f), str(k)
+        # Blocks through ``tolist()`` like RequestStream; an object- or
+        # bytes-typed ``kinds`` block is cast to str first so items stay
+        # plain ``str``.
+        times, file_ids, kinds = self.times, self.file_ids, self.kinds
+        for lo in range(0, len(times), ITER_BLOCK):
+            hi = lo + ITER_BLOCK
+            block = kinds[lo:hi]
+            if block.dtype.kind != "U":
+                block = block.astype(str)
+            yield from zip(
+                times[lo:hi].tolist(), file_ids[lo:hi].tolist(), block.tolist()
+            )
 
     def chunks(self, chunk_size: int):
         """A chunked view of this stream (kinds included) — see

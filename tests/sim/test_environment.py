@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import EmptySchedule, Environment
+from repro.sim import EmptySchedule, Environment, Interrupt
 
 
 class TestScheduling:
@@ -171,3 +171,86 @@ class TestRun:
         env.timeout(800.0)  # future work beyond the stale stop at 500
         env.run()
         assert env.now == 801.0  # 1.0 (crash time) + the 800 s timeout
+
+    def test_run_until_nan_rejected(self, env):
+        # ``nan < now`` is false, so a plain "in the past" check lets NaN
+        # through as a stop time the loop could never reach in order.
+        env.timeout(1.0)
+        with pytest.raises(ValueError, match="nan"):
+            env.run(until=float("nan"))
+        assert env.now == 0.0
+        assert env.peek() == 1.0  # nothing was scheduled for the bad stop
+
+
+def _busy_scenario(env, log):
+    """Same-instant-heavy mix of timeouts, conditions, interrupts, failures."""
+
+    def worker(env, name, delays):
+        for d in delays:
+            try:
+                yield env.timeout(d)
+            except Interrupt as irq:
+                log.append((env.now, name, "irq", irq.cause))
+                continue
+            log.append((env.now, name))
+
+    def poker(env, victim):
+        yield env.timeout(1.0)
+        victim.interrupt("poke")
+        yield env.any_of([env.timeout(1.0), env.timeout(0.0)])
+        log.append((env.now, "poker", "any"))
+        yield env.all_of([env.timeout(1.0), env.timeout(2.0)])
+        log.append((env.now, "poker", "all"))
+
+    def fragile(env):
+        yield env.timeout(2.0)
+        raise KeyError("handled below")
+
+    def guard(env):
+        try:
+            yield env.process(fragile(env))
+        except KeyError:
+            log.append((env.now, "guard", "caught"))
+
+    a = env.process(worker(env, "a", [1.0, 1.0, 0.0, 2.0]))
+    env.process(worker(env, "b", [0.0, 1.0, 1.0, 1.0]))
+    env.process(poker(env, a))
+    env.process(guard(env))
+
+
+class TestRunIsInlinedStep:
+    """``run()`` inlines ``step()``; the two must stay equivalent."""
+
+    def test_same_events_in_same_order_as_stepping(self):
+        ran, stepped = [], []
+        env = Environment()
+        _busy_scenario(env, ran)
+        env.run()
+        manual = Environment()
+        _busy_scenario(manual, stepped)
+        with pytest.raises(EmptySchedule):
+            while True:
+                manual.step()
+        assert ran == stepped and len(ran) > 10
+        assert env.now == manual.now
+
+    def test_overridden_step_is_honoured(self):
+        class Counting(Environment):
+            steps = 0
+
+            def step(self):
+                Counting.steps += 1
+                super().step()
+
+        env = Counting()
+        log = []
+        _busy_scenario(env, log)
+        env.run(until=3.0)
+        manual = Environment()
+        _busy_scenario(manual, [])
+        processed = 0
+        while manual.peek() < 3.0:
+            manual.step()
+            processed += 1
+        assert Counting.steps == processed + 1  # + the stop event itself
+        assert env.now == 3.0

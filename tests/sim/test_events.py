@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim import AllOf, AnyOf, Environment, Interrupt, Timeout
 
 
 class TestEvent:
@@ -72,6 +72,30 @@ class TestTimeout:
     def test_negative_delay_rejected(self, env):
         with pytest.raises(ValueError):
             env.timeout(-1.0)
+        with pytest.raises(ValueError):
+            Timeout(env, -1.0)
+
+    def test_nan_delay_rejected(self, env):
+        # NaN passes a ``delay < 0`` check; it must not reach the queue,
+        # where it would move the clock to nan and then back again.
+        with pytest.raises(ValueError, match="nan"):
+            env.timeout(float("nan"))
+        with pytest.raises(ValueError, match="nan"):
+            Timeout(env, float("nan"))
+        assert env.peek() == float("inf")
+
+    def test_factory_matches_constructor(self, env):
+        # env.timeout builds the event in place; it must be the same event
+        # Timeout(...) builds, at the same queue position.
+        a = env.timeout(2.0, value="a")
+        b = Timeout(env, 2.0, value="b")
+        order = []
+        for ev in (a, b):
+            ev.callbacks.append(lambda e: order.append(e.value))
+        assert type(a) is type(b) and a.delay == b.delay == 2.0
+        assert a.triggered and not a.processed
+        env.run()
+        assert order == ["a", "b"] and env.now == 2.0
 
     def test_zero_delay_fires_immediately(self, env):
         t = env.timeout(0.0)
