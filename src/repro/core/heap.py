@@ -4,10 +4,18 @@ The paper's complexity argument (Lemma 7) rests on this structure: the two
 heaps ``~S`` and ``~L`` are built in O(n) and support O(log n) insert and
 extract-max, giving the overall O(n log n) bound.  Ties are broken FIFO by
 insertion sequence so packing output is fully deterministic.
+
+The heap is the standard library's :mod:`heapq` (a binary min-heap in C)
+over ``(-key, seq, payload)`` entries, so Lemma 7's bounds hold as stated:
+``heapify`` is O(n), ``heappush``/``heappop`` are O(log n).  Negating a
+float is exact, and ``-0.0 == 0.0`` still ties, so the pop order is the
+same (key descending, insertion order) total order as a hand-written
+max-heap on ``(key, -seq)``.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Generic, Iterable, List, Optional, Tuple, TypeVar
 
 __all__ = ["MaxHeap"]
@@ -25,17 +33,17 @@ class MaxHeap(Generic[T]):
     __slots__ = ("_entries", "_seq")
 
     def __init__(self, entries: Optional[Iterable[Tuple[float, T]]] = None) -> None:
-        # Internal entries are (key, -seq, payload): tuple comparison gives a
-        # max-heap on key with FIFO tie-breaking (older entries have larger
-        # -seq ... no: older entries have *smaller* seq, hence larger -seq,
-        # so they win ties and pop first).
-        self._seq = 0
+        # Internal entries are (-key, seq, payload): heapq's min-heap pops
+        # the largest key first, and the unique seq breaks ties FIFO before
+        # a payload is ever compared.
         self._entries: List[Tuple[float, int, T]] = []
         if entries is not None:
-            for key, payload in entries:
-                self._entries.append((float(key), -self._seq, payload))
-                self._seq += 1
-            self._heapify()
+            self._entries = [
+                (-float(key), seq, payload)
+                for seq, (key, payload) in enumerate(entries)
+            ]
+            heapq.heapify(self._entries)
+        self._seq = len(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -45,63 +53,22 @@ class MaxHeap(Generic[T]):
 
     def push(self, key: float, payload: T) -> None:
         """Insert an entry in O(log n)."""
-        self._entries.append((float(key), -self._seq, payload))
+        heapq.heappush(self._entries, (-float(key), self._seq, payload))
         self._seq += 1
-        self._sift_up(len(self._entries) - 1)
 
     def peek(self) -> Tuple[float, T]:
         """Return (but keep) the max-key entry."""
         if not self._entries:
             raise IndexError("peek from an empty heap")
-        key, _, payload = self._entries[0]
-        return key, payload
+        neg_key, _, payload = self._entries[0]
+        return -neg_key, payload
 
     def pop(self) -> Tuple[float, T]:
         """Remove and return the max-key entry in O(log n)."""
         if not self._entries:
             raise IndexError("pop from an empty heap")
-        top = self._entries[0]
-        last = self._entries.pop()
-        if self._entries:
-            self._entries[0] = last
-            self._sift_down(0)
-        return top[0], top[2]
-
-    # -- internals ------------------------------------------------------------
-
-    def _heapify(self) -> None:
-        # Bottom-up heap construction: O(n) total.
-        for i in range(len(self._entries) // 2 - 1, -1, -1):
-            self._sift_down(i)
-
-    def _sift_up(self, i: int) -> None:
-        entries = self._entries
-        entry = entries[i]
-        while i > 0:
-            parent = (i - 1) >> 1
-            if entries[parent][:2] >= entry[:2]:
-                break
-            entries[i] = entries[parent]
-            i = parent
-        entries[i] = entry
-
-    def _sift_down(self, i: int) -> None:
-        entries = self._entries
-        n = len(entries)
-        entry = entries[i]
-        while True:
-            left = 2 * i + 1
-            if left >= n:
-                break
-            right = left + 1
-            child = left
-            if right < n and entries[right][:2] > entries[left][:2]:
-                child = right
-            if entries[child][:2] <= entry[:2]:
-                break
-            entries[i] = entries[child]
-            i = child
-        entries[i] = entry
+        neg_key, _, payload = heapq.heappop(self._entries)
+        return -neg_key, payload
 
     # -- test support ----------------------------------------------------------
 
@@ -110,16 +77,11 @@ class MaxHeap(Generic[T]):
         entries = self._entries
         for i in range(1, len(entries)):
             parent = (i - 1) >> 1
-            assert entries[parent][:2] >= entries[i][:2], (
+            assert entries[parent][:2] <= entries[i][:2], (
                 f"heap violated at index {i}"
             )
 
     def as_sorted_list(self) -> List[Tuple[float, T]]:
         """Drain a *copy* of the heap in descending key order (tests only)."""
-        clone = MaxHeap.__new__(MaxHeap)
-        clone._entries = list(self._entries)
-        clone._seq = self._seq
-        out = []
-        while clone:
-            out.append(clone.pop())
-        return out
+        # (-key, seq) is unique, so sorting never compares payloads.
+        return [(-neg_key, payload) for neg_key, _, payload in sorted(self._entries)]

@@ -1227,6 +1227,21 @@ def _allocate_for_write(
     return policy.choose(ctx, size)
 
 
+def _group_key(d: np.ndarray, num_disks: int) -> np.ndarray:
+    """``d`` in the narrowest unsigned dtype that holds every disk index.
+
+    NumPy's stable sort is a radix sort on 8- and 16-bit integers (~10x
+    faster than its int64 timsort), and a stable permutation is unique, so
+    ``argsort(_group_key(d, n), kind="stable")`` equals the int64 one bit
+    for bit.  Pools above 65,536 disks keep the int64 key.
+    """
+    if num_disks <= 1 << 8:
+        return d.astype(np.uint8)
+    if num_disks <= 1 << 16:
+        return d.astype(np.uint16)
+    return d
+
+
 def _serve_segment(
     bank: _DiskBank,
     d_seg: np.ndarray,
@@ -1244,8 +1259,11 @@ def _serve_segment(
     n = int(d_seg.size)
     if not n:
         return
-    order = np.argsort(d_seg, kind="stable")
-    d_s = d_seg[order]
+    key = _group_key(d_seg, bank.rate_a.shape[0])
+    order = np.argsort(key, kind="stable")
+    # The sorted key is the grouped disk ids at 1-2 bytes each; it is
+    # ascending, so its unsigned diff cannot wrap.
+    d_s = key[order]
     t_s = t_seg[order]
     tr_s = tr_seg[order]
     cuts = np.flatnonzero(np.diff(d_s)) + 1

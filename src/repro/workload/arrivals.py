@@ -12,7 +12,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.sim.rng import rng_from_seed
+from repro.sim.rng import WeightedSampler, rng_from_seed
 
 __all__ = ["RequestStream", "poisson_arrival_times", "sample_file_ids"]
 
@@ -38,13 +38,45 @@ def poisson_arrival_times(rate: float, duration: float, rng=None) -> np.ndarray:
 
 
 def sample_file_ids(popularities: np.ndarray, count: int, rng=None) -> np.ndarray:
-    """Draw ``count`` file indices i.i.d. from the popularity distribution."""
+    """Draw ``count`` file indices i.i.d. from the popularity distribution.
+
+    ``popularities`` are weights (normalized here); non-finite or negative
+    weights and a zero total raise :class:`~repro.errors.ConfigError`.
+    """
     if count < 0:
         raise ConfigError(f"count must be >= 0, got {count}")
     rng = rng_from_seed(rng)
-    p = np.asarray(popularities, dtype=float)
-    p = p / p.sum()
-    return rng.choice(p.shape[0], size=count, p=p)
+    return WeightedSampler.from_weights(popularities).sample(rng, count)
+
+
+def check_requests(times: np.ndarray, file_ids: np.ndarray) -> None:
+    """The one request-array check both stream classes run.
+
+    Arrival times must be finite, non-negative and non-decreasing, and file
+    ids non-negative.  The :class:`~repro.errors.ConfigError` names the
+    first offending index.  The passing case costs three vector scans and
+    no full-length float temporary.
+    """
+    if not times.size:
+        return
+    finite = np.isfinite(times)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ConfigError(f"request times must be finite: time {i} is {times[i]}")
+    if times[0] < 0:
+        raise ConfigError(f"request times must be non-negative: time 0 is {times[0]}")
+    back = times[1:] < times[:-1]
+    if back.any():
+        i = int(np.argmax(back)) + 1
+        raise ConfigError(
+            f"request times must be non-decreasing: time {i} ({times[i]}) "
+            f"is before time {i - 1} ({times[i - 1]})"
+        )
+    if file_ids.min() < 0:
+        i = int(np.argmax(file_ids < 0))
+        raise ConfigError(
+            f"file ids must be non-negative: request {i} has file id {file_ids[i]}"
+        )
 
 
 @dataclass
@@ -74,10 +106,7 @@ class RequestStream:
         self.file_ids = np.asarray(self.file_ids, dtype=np.int64)
         if self.times.ndim != 1 or self.times.shape != self.file_ids.shape:
             raise ConfigError("times and file_ids must be equal-length 1-D arrays")
-        if self.times.size and np.any(np.diff(self.times) < 0):
-            raise ConfigError("request times must be non-decreasing")
-        if self.times.size and self.times[0] < 0:
-            raise ConfigError("request times must be non-negative")
+        check_requests(self.times, self.file_ids)
         if self.duration < (self.times[-1] if self.times.size else 0.0):
             raise ConfigError(
                 "stream duration must cover the last arrival "

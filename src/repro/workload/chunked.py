@@ -63,6 +63,7 @@ import numpy.typing as npt
 
 from repro.disk.drive import READ, WRITE
 from repro.errors import ConfigError
+from repro.sim.rng import WeightedSampler, rng_from_seed
 from repro.workload.catalog import FileCatalog
 
 if TYPE_CHECKING:
@@ -260,8 +261,7 @@ class ChunkedPoissonStream(_SeededStream):
         if duration < 0:
             raise ConfigError(f"duration must be >= 0, got {duration}")
         self.chunk_size = _check_chunk_size(chunk_size)
-        p = np.asarray(popularities, dtype=float)
-        self._pop = p / p.sum()
+        self._sampler = WeightedSampler.from_weights(popularities)
         self.rate = float(rate)
         self.duration = float(duration)
 
@@ -288,7 +288,7 @@ class ChunkedPoissonStream(_SeededStream):
                 continue
             times = rng.uniform(lo, hi, size=n)
             times.sort()
-            ids = rng.choice(self._pop.shape[0], size=n, p=self._pop)
+            ids = self._sampler.sample(rng, n)
             yield StreamChunk(times=times, file_ids=ids)
 
 
@@ -317,8 +317,7 @@ class ChunkedDiurnalStream(_SeededStream):
         if duration < 0:
             raise ConfigError(f"duration must be >= 0, got {duration}")
         self.chunk_size = _check_chunk_size(chunk_size)
-        p = np.asarray(popularities, dtype=float)
-        self._pop = p / p.sum()
+        self._sampler = WeightedSampler.from_weights(popularities)
         self.rate_fn = rate_fn
         self.peak_rate = float(peak_rate)
         self.duration = float(duration)
@@ -345,7 +344,7 @@ class ChunkedDiurnalStream(_SeededStream):
             if not keep.any():
                 continue
             times = times[keep]
-            ids = rng.choice(self._pop.shape[0], size=times.size, p=self._pop)
+            ids = self._sampler.sample(rng, times.size)
             yield StreamChunk(times=times, file_ids=ids)
 
 
@@ -374,8 +373,7 @@ class ChunkedMixedStream(_SeededStream):
     ) -> None:
         super().__init__(seed)
         self.chunk_size = _check_chunk_size(chunk_size)
-        p = np.asarray(popularities, dtype=float)
-        self._pop = p / p.sum()
+        self._sampler = WeightedSampler.from_weights(popularities)
         self.other_rate = float(other_rate)
         self.rewrite_prob = float(rewrite_prob)
         self._new_times = np.asarray(new_times, dtype=float)
@@ -402,7 +400,7 @@ class ChunkedMixedStream(_SeededStream):
             n = int(rng.poisson(self.other_rate * (hi - lo)))
             times = rng.uniform(lo, hi, size=n)
             times.sort()
-            ids = rng.choice(self._pop.shape[0], size=n, p=self._pop)
+            ids = self._sampler.sample(rng, n)
             kinds = np.where(
                 rng.uniform(size=n) < self.rewrite_prob, WRITE, READ
             )
@@ -441,8 +439,6 @@ def generate_mixed_workload_chunked(
     front, everything else streams at rate ``R*(1-wf*nf)`` with rewrite
     probability ``wf*(1-nf)/(1-wf*nf)``.
     """
-    from repro.sim.rng import rng_from_seed
-
     rng = rng_from_seed(params.seed)
     n_existing = catalog.n
     p_new = params.write_fraction * params.new_file_fraction
@@ -522,10 +518,8 @@ class ChunkedNerscStream(_SeededStream):
         self._base_times_by_id = base_times
         ranks = base_rng.permutation(params.n_files) + 1
         weights = ranks.astype(float) ** (-params.repeat_exponent)
-        self._repeat_weights = weights / weights.sum()
-        expected = 1.0 + (
-            params.n_requests - params.n_files
-        ) * self._repeat_weights
+        self._repeats = WeightedSampler.from_weights(weights)
+        expected = 1.0 + (params.n_requests - params.n_files) * self._repeats.p
         self.catalog = FileCatalog(
             sizes=sizes, popularities=expected / expected.sum()
         )
@@ -559,9 +553,7 @@ class ChunkedNerscStream(_SeededStream):
             base_t = bt[blo:bhi]
             base_ids = self._base_ids_sorted[blo:bhi]
             n_rep = int(rng.poisson(extra_rate * (hi - lo)))
-            rep_ids = rng.choice(
-                p.n_files, size=n_rep, p=self._repeat_weights
-            )
+            rep_ids = self._repeats.sample(rng, n_rep)
             rep_t = rng.uniform(lo, hi, size=n_rep)
             local = rng.uniform(size=n_rep) < p.repeat_locality
             if local.any():

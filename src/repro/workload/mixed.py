@@ -18,8 +18,8 @@ import numpy as np
 
 from repro.disk.drive import READ, WRITE
 from repro.errors import ConfigError
-from repro.sim.rng import rng_from_seed
-from repro.workload.arrivals import ITER_BLOCK, RequestStream
+from repro.sim.rng import WeightedSampler, rng_from_seed
+from repro.workload.arrivals import ITER_BLOCK, RequestStream, check_requests
 from repro.workload.catalog import FileCatalog
 
 __all__ = ["MixedRequestStream", "MixedWorkloadParams", "generate_mixed_workload"]
@@ -48,8 +48,7 @@ class MixedRequestStream:
             self.times.shape == self.file_ids.shape == self.kinds.shape
         ):
             raise ConfigError("times, file_ids and kinds must align")
-        if self.times.size and np.any(np.diff(self.times) < 0):
-            raise ConfigError("request times must be non-decreasing")
+        check_requests(self.times, self.file_ids)
 
     def __len__(self) -> int:
         return int(self.times.shape[0])
@@ -147,11 +146,9 @@ def generate_mixed_workload(
 
     file_ids = np.empty(count, dtype=np.int64)
     old_mask = ~is_new
-    file_ids[old_mask] = rng.choice(
-        n_existing,
-        size=int(old_mask.sum()),
-        p=catalog.popularities / catalog.popularities.sum(),
-    )
+    file_ids[old_mask] = WeightedSampler.from_weights(
+        catalog.popularities
+    ).sample(rng, int(old_mask.sum()))
     file_ids[is_new] = n_existing + np.arange(n_new)
 
     kinds = np.where(is_write, WRITE, READ)

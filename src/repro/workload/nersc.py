@@ -31,7 +31,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.sim.rng import rng_from_seed
+from repro.sim.rng import WeightedSampler, rng_from_seed
 from repro.units import DAY, GB, MB, TB
 from repro.workload.trace import Trace
 
@@ -244,8 +244,7 @@ def synthesize_nersc_trace(params: NerscTraceParams = NerscTraceParams()) -> Tra
     n_extra = params.n_requests - n
     ranks = rng.permutation(n) + 1  # random popularity order, size-independent
     weights = ranks.astype(float) ** (-params.repeat_exponent)
-    weights /= weights.sum()
-    extra_ids = rng.choice(n, size=n_extra, p=weights)
+    extra_ids = WeightedSampler.from_weights(weights).sample(rng, n_extra)
     local = rng.uniform(size=n_extra) < params.repeat_locality
     extra_times = np.where(
         local,

@@ -90,3 +90,38 @@ class TestProperties:
         before = len(h)
         h.as_sorted_list()
         assert len(h) == before
+
+
+class TestSameOrderAsReferenceSort:
+    """Pops follow (key descending, insertion order), bit for bit."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["push", "push", "pop"]),
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-300, -1e300]),
+            ),
+            max_size=300,
+        ),
+        st.lists(st.sampled_from([0.0, -0.0, 3.0, 3.0, -2.0]), max_size=20),
+    )
+    def test_interleaved_ties_and_signed_zeros(self, ops, initial):
+        h = MaxHeap((k, ("init", i)) for i, k in enumerate(initial))
+        live = [(k, i, ("init", i)) for i, k in enumerate(initial)]
+        seq = len(initial)
+        for n, (op, key) in enumerate(ops):
+            if op == "push" or not live:
+                h.push(key, ("op", n))
+                live.append((key, seq, ("op", n)))
+                seq += 1
+                continue
+            # Reference: the largest key (-0.0 == 0.0), oldest first.
+            want = min(live, key=lambda e: (-e[0], e[1]))
+            live.remove(want)
+            key_out, payload = h.pop()
+            assert payload == want[2]
+            assert key_out.hex() == want[0].hex()
+        assert [p for _, p in h.as_sorted_list()] == [
+            e[2] for e in sorted(live, key=lambda e: (-e[0], e[1]))
+        ]
+        h.check_invariant()

@@ -12,9 +12,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SimulationError
-from repro.sim.fastkernel import fast_unsupported_reason, simulate_fast
+from repro.sim.fastkernel import _group_key, fast_unsupported_reason, simulate_fast
 from repro.system import StorageConfig, StorageSystem, allocate
 from repro.units import GiB, MB
 from repro.workload import FileCatalog, RequestStream
@@ -475,3 +477,33 @@ class TestUnsupportedScenarios:
                 stream=stream,
                 duration=0.0,
             )
+
+
+class TestGroupKey:
+    """The narrowed grouping key sorts to the int64 stable permutation."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 100, 255, 256, 257, 4_000, 65_536, 65_537]),
+        st.integers(0, 3_000),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_permutation_equals_int64_stable_argsort(self, num_disks, n, seed):
+        rng = np.random.default_rng(seed)
+        # Few distinct disks (long runs of ties) and the pool's top index.
+        used = rng.integers(0, num_disks, size=min(num_disks, 5))
+        d = np.concatenate([rng.choice(used, size=n), [num_disks - 1]])
+        key = _group_key(d, num_disks)
+        assert np.array_equal(
+            np.argsort(key, kind="stable"), np.argsort(d, kind="stable")
+        )
+
+    @pytest.mark.parametrize(
+        "num_disks, dtype",
+        [(256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.int64)],
+    )
+    def test_dtype_follows_pool_size(self, num_disks, dtype):
+        d = np.array([0, num_disks - 1], dtype=np.int64)
+        key = _group_key(d, num_disks)
+        assert key.dtype == dtype
+        assert key.tolist() == d.tolist()

@@ -1,5 +1,7 @@
 """Unit and statistical tests for arrival processes and request streams."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,6 +13,7 @@ from repro.workload import (
     sample_file_ids,
     zipf_popularities,
 )
+from repro.workload.mixed import MixedRequestStream
 
 
 class TestPoisson:
@@ -57,6 +60,68 @@ class TestSampleIds:
     def test_invalid_count(self, rng):
         with pytest.raises(ConfigError):
             sample_file_ids(np.array([1.0]), -1, rng)
+
+    @pytest.mark.parametrize(
+        "weights, fault",
+        [
+            ([0.0, 0.0], "positive total"),
+            ([], "positive total"),
+            ([1.0, -0.5, 2.0], "non-negative: weight 1 is -0.5"),
+            ([1.0, 2.0, np.nan], "finite: weight 2 is nan"),
+            ([np.inf, 1.0], "finite: weight 0 is inf"),
+            ([1e308, 1e308], "overflow"),
+        ],
+    )
+    def test_bad_weights_name_the_fault(self, rng, weights, fault):
+        # Regression: all-zero weights used to warn (0/0) and then surface
+        # NumPy's "Probabilities contain NaN"; negative ones NumPy's message.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=fault):
+                sample_file_ids(np.array(weights), 3, rng)
+
+    def test_bad_weights_still_a_value_error(self, rng):
+        with pytest.raises(ValueError):
+            sample_file_ids(np.array([0.0, 0.0]), 3, rng)
+
+    def test_zero_weight_files_never_drawn(self, rng):
+        ids = sample_file_ids(np.array([0.0, 3.0, 0.0, 1.0]), 5_000, rng)
+        assert set(np.unique(ids).tolist()) <= {1, 3}
+
+
+def _stream(cls, times, file_ids):
+    times = np.asarray(times, dtype=float)
+    kw = {"kinds": np.full(times.size, "read")} if cls is MixedRequestStream else {}
+    return cls(times=times, file_ids=np.asarray(file_ids), duration=100.0, **kw)
+
+
+@pytest.mark.parametrize("cls", [RequestStream, MixedRequestStream])
+class TestStreamValidation:
+    """Both stream classes run the one request-array check."""
+
+    @pytest.mark.parametrize(
+        "times, file_ids, message",
+        [
+            ([1.0, np.nan, 3.0], [0, 1, 2], "finite: time 1 is nan"),
+            ([1.0, 2.0, np.inf], [0, 1, 2], "finite: time 2 is inf"),
+            ([-1.0, 2.0], [0, 1], "non-negative: time 0"),
+            ([1.0, 3.0, 2.0, 0.5], [0, 1, 2, 3], "non-decreasing: time 2"),
+            ([1.0, 2.0, 3.0], [0, 5, -1], "file ids must be non-negative: request 2 has file id -1"),
+        ],
+    )
+    def test_bad_requests_name_the_first_index(self, cls, times, file_ids, message):
+        with pytest.raises(ConfigError, match=message):
+            _stream(cls, times, file_ids)
+
+    def test_nan_after_sorted_prefix_rejected(self, cls):
+        # Regression: NaN compares false, so the old diff check let it pass
+        # and the two engines then diverged on the stream.
+        with pytest.raises(ConfigError, match="time 3 is nan"):
+            _stream(cls, [0.0, 1.0, 1.0, np.nan, 2.0], [0, 0, 0, 0, 0])
+
+    def test_ties_and_empty_accepted(self, cls):
+        assert len(_stream(cls, [0.0, 2.0, 2.0, 2.0], [3, 0, 0, 1])) == 4
+        assert len(_stream(cls, [], [])) == 0
 
 
 class TestRequestStream:
