@@ -17,7 +17,7 @@ import pytest
 
 from repro.disk import DiskDrive, ST3500630AS
 from repro.experiments.orchestrator import SimTask, SweepRunner
-from repro.sim import Environment, Store
+from repro.sim import Environment
 from repro.system import StorageConfig, StorageSystem, allocate
 from repro.units import GiB, MB
 from repro.workload.generator import SyntheticWorkloadParams, generate_workload
@@ -40,31 +40,6 @@ def test_event_loop_throughput(benchmark):
         return env.now
 
     assert benchmark(run) == 5_000.0
-
-
-def test_store_handoff_throughput(benchmark):
-    """Producer/consumer through a Store: 20k handoffs."""
-
-    def run():
-        env = Environment()
-        store = Store(env)
-        done = []
-
-        def producer(env):
-            for i in range(20_000):
-                yield store.put(i)
-
-        def consumer(env):
-            for _ in range(20_000):
-                item = yield store.get()
-            done.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        return done[0]
-
-    assert benchmark(run) == 19_999
 
 
 def test_drive_request_throughput(benchmark):

@@ -25,8 +25,8 @@ scale by ``threshold / base_threshold`` via
 The timeline records ladder state *names* (strings): rung names while
 parked, ``down:<name>`` during descents, ``wake:<name>`` during wakes,
 plus ``seek``/``active`` while serving.  The fast kernel's
-:class:`~repro.sim.fastkernel._LadderBank` replays identical semantics and
-uses the same labels.
+:class:`~repro.sim.fastkernel._Bank` replays identical semantics and uses
+the same labels.
 """
 
 from __future__ import annotations

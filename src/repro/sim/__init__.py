@@ -10,9 +10,6 @@ written in), providing the same process-based modelling style:
 * :class:`~repro.sim.events.AnyOf` / :class:`~repro.sim.events.AllOf` —
   condition events,
 * :class:`~repro.sim.events.Interrupt` — asynchronous process interruption,
-* :class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.PriorityResource`,
-  :class:`~repro.sim.resources.Store` — shared-resource primitives,
 * :mod:`~repro.sim.monitor` — state timelines and streaming statistics used
   for energy accounting and response-time measurement,
 * :mod:`~repro.sim.fastkernel` — a batched fast path for array-backed
@@ -49,15 +46,6 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.monitor import StateTimeline, Tally, TimeWeighted
-from repro.sim.resources import (
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-    Store,
-    StoreGet,
-    StorePut,
-)
 from repro.sim.rng import rng_from_seed, spawn_rngs
 
 __all__ = [
@@ -70,15 +58,8 @@ __all__ = [
     "Event",
     "Interrupt",
     "NORMAL",
-    "PriorityResource",
     "Process",
-    "Release",
-    "Request",
-    "Resource",
     "StateTimeline",
-    "Store",
-    "StoreGet",
-    "StorePut",
     "Tally",
     "TimeWeighted",
     "Timeout",

@@ -64,18 +64,23 @@ favor of bounded :class:`~repro.system.metrics.ResponseStats`
 accumulators — peak memory then scales with the chunk size, not the
 request count.
 
-Multi-state ladders (``StorageConfig(dpm_ladder=...)`` — presets
-``two_state``/``nap``/``drpm4`` in :data:`repro.disk.dpm.DPM_LADDERS`,
-or any user :class:`~repro.disk.dpm.DpmLadder`) replay through the
-per-rung :class:`_LadderBank` recursion; the ``two_state`` preset is
-byte-identical to the classic :class:`_DiskBank` path, and the seeded
+One recursion serves every drive: :class:`_Bank` runs the per-rung DPM
+ladder recursion over per-disk rung tables.  A multi-state ladder
+(``StorageConfig(dpm_ladder=...)`` — presets ``two_state``/``nap``/``drpm4``
+in :data:`repro.disk.dpm.DPM_LADDERS`, or any user
+:class:`~repro.disk.dpm.DpmLadder`) brings its own rungs; a disk without
+one runs the two-rung table of its :class:`~repro.disk.specs.DiskSpec`
+(idle, then standby after the idleness threshold — the paper's Figure 1
+drive as the simplest ladder), reported under the classic
+:class:`~repro.disk.power.DiskState` names.  The ``two_state`` preset
+therefore simulates byte-identically to a ladder-less run, and the seeded
 randomized differential harness in ``tests/differential/`` holds both
 engines to 1e-9 agreement across the full config space (disks x streams
 x arrival shape x cache x write policy x DPM policy x ladder x fleet).
 
 Heterogeneous fleets (``StorageConfig(fleet=...)`` — the
 ``mixed_generation`` preset or any :class:`~repro.disk.fleet.Fleet`)
-turn every per-disk scalar in the banks into a vector: capacities,
+turn every per-disk scalar in the bank into a vector: capacities,
 transfer rates, access overheads, spin-up/-down durations, per-state
 power draws, idleness thresholds and (when any slot carries one) DPM
 ladders are all indexed by disk.  A uniform fleet collapses those
@@ -92,33 +97,36 @@ order), so allocation decisions — and hence final file→disk mappings — are
 byte-identical across engines; ``tests/experiments/test_engine_smoke.py``
 iterates the registry to enforce this.
 
-Execution strategy (fastest applicable path is chosen per run):
+Execution strategy: every batch of arrivals — a chunk, a control
+interval's slice of one, or a scheduler's release batch — is served by
+one :class:`_Dispatch`, which picks the fastest path that applies:
 
-1. **grouped** (read-only, no cache): the stream is pre-sorted into
-   per-disk NumPy groups and each disk's queue is advanced independently —
-   the original fully batched path;
+1. **grouped** (read-only, no cache): the batch is pre-sorted into
+   per-disk NumPy groups and each disk's queue is advanced independently
+   by the bank's hoisted :meth:`_Bank.serve_batch`;
 2. **segmented** (writes, no cache): only writes that *allocate* a new
-   file couple the disks, so the stream is split at those coupling points
-   and the same vectorized per-disk recursion replays each read-only
-   segment between them; the allocation itself is resolved scalar against
-   the banked per-disk spin state;
+   file couple the disks, so the batch is split at those coupling points
+   and each read-only segment between them replays grouped; the
+   allocation itself is resolved scalar against the banked per-disk spin
+   state;
 3. **coupled** (shared cache): a single globally time-merged pass walks
    arrivals in order, draining a min-heap of pending cache admissions
    (miss completions) between arrivals; the per-disk recursion state is
-   identical, only advanced one request at a time;
-4. **controlled** (a dynamic ``StorageConfig.dpm_policy``): the stream is
-   segmented at control-interval boundaries and each interval replays
-   through whichever of the three paths above applies, against a
-   :class:`_ControlledBank` holding *per-interval, per-disk* threshold
-   vectors.  An idle gap is governed by the threshold in effect at the
-   disk's drain instant (the event drive's already-armed timer), so the
-   per-gap threshold is looked up from the drain time's interval.  At
-   each boundary the interval's telemetry — responses in completion
-   order, closed idle gaps per disk, queue depths — is handed to the
-   shared :class:`~repro.control.controller.ThresholdController`, which
-   returns the next threshold vector; the event engine's control process
-   consumes identical telemetry, so every registered DPM policy
-   simulates identically (~1e-9) on both engines.
+   identical, only advanced one request at a time.
+
+Under a dynamic ``StorageConfig.dpm_policy`` the bank reads its
+thresholds from *per-interval, per-disk* rows instead of one static
+vector, and :class:`_ControlledDriver` segments the stream at
+control-interval boundaries, serving each slice through the same
+dispatch.  An idle gap is governed by the threshold in effect at the
+disk's drain instant (the event drive's already-armed timer).  At each
+boundary the interval's telemetry — responses in completion order, closed
+idle gaps per disk, queue depths — goes to the shared
+:class:`~repro.control.controller.ThresholdController`, which returns the
+next threshold vector; the event engine's control process consumes
+identical telemetry, so every registered DPM policy simulates identically
+(~1e-9) on both engines.  Scheduled, unscheduled and controlled runs
+share one serve-and-account body.
 
 All state-time, energy and response accounting is vectorized afterwards
 and truncated at the measurement horizon exactly like the event kernel's
@@ -142,12 +150,12 @@ the default ``engine="event"`` for those.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from math import isinf
-from typing import Dict, List, Optional
+from math import inf
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.disk.dpm import DpmLadder
+from repro.disk.dpm import DpmLadder, LadderRung
 from repro.disk.drive import READ, WRITE
 from repro.disk.fleet import ResolvedFleet
 from repro.disk.power import DiskState, PowerModel
@@ -229,38 +237,99 @@ def _per_disk_floats(value, num_disks: int) -> List[float]:
     return [float(v) for v in arr]
 
 
-class _DiskBank:
-    """Scalar per-disk queue/power state with carry-in, shared by all paths.
+def _two_rung_table(spec: DiskSpec) -> Tuple[LadderRung, LadderRung]:
+    """The paper's Figure 1 drive as a two-rung table: idle, then standby
+    through the spin-down, left by the spin-up.
 
-    Holds exactly the state the event kernel's ``DiskDrive`` evolves — the
-    time each disk next falls idle plus spin-transition accounting — in
-    plain Python lists, so single-request advances at coupling points stay
-    cheap while :meth:`serve_batch` replays a whole per-disk FIFO segment
-    with hoisted locals.
+    Built directly from the spec, not as a :class:`DpmLadder`: the idleness
+    threshold (not a rung entry) starts the descent, and ladder validation
+    would reject a spec with zero-length transitions (break-even 0), which
+    this table runs like any other.
+    """
+    return (
+        LadderRung("idle", spec.idle_power),
+        LadderRung(
+            "standby",
+            spec.standby_power,
+            down_time=spec.spindown_time,
+            down_power=spec.spindown_power,
+            wake_time=spec.spinup_time,
+            wake_power=spec.spinup_power,
+        ),
+    )
 
-    Heterogeneous fleets: every spec-derived constant (spin-down/up times,
-    access overhead, transfer rate) and the idleness threshold are held as
-    one value *per disk*.  ``spec``/``threshold`` accept a scalar (tiled
-    across the pool — a uniform fleet, bit-identical to the historical
-    scalar recursion) or a per-disk sequence/vector.
+
+def _two_rung_entries(threshold: float) -> Tuple[float, float]:
+    """Descent schedule of a :func:`_two_rung_table`: standby after the
+    threshold (``inf`` never descends)."""
+    return (0.0, threshold)
+
+
+#: Ladder-less runs report the two-rung table's timeline labels under the
+#: classic :class:`DiskState` names, in ``state_durations`` and in observer
+#: spans alike.
+_CLASSIC_STATES = {
+    "idle": DiskState.IDLE,
+    "standby": DiskState.STANDBY,
+    "seek": DiskState.SEEK,
+    "active": DiskState.ACTIVE,
+    "wake:standby": DiskState.SPINUP,
+    "down:standby": DiskState.SPINDOWN,
+}
+
+
+class _Bank:
+    """Per-disk queue and power state for every fast-kernel path.
+
+    Evolves exactly the state the event kernel's drives evolve: per disk,
+    the time it next falls idle plus per-rung park/descent/wake
+    residencies.  An idle gap walks the disk's (threshold-scaled) descent
+    schedule: fully traversed rungs bill their descent and park times, the
+    rung occupied when the gap ends bills a (possibly horizon-clipped)
+    descent plus park-until-arrival, and the wake is billed at the rung's
+    wake power for its configured wake time.  A disk without a DPM ladder
+    runs the :func:`_two_rung_table` of its spec — the recursion is then
+    term for term the Figure 1 spin-down/spin-up of
+    :class:`~repro.disk.drive.DiskDrive` — and a ``two_state`` ladder runs
+    the same arithmetic (``tests/sim/test_ladder_fastkernel.py`` asserts
+    bit-equal responses and energies).
+
+    Everything is held per disk, so a heterogeneous fleet needs nothing
+    extra: ``spec``/``threshold``/``ladder`` accept a scalar (tiled across
+    the pool) or a per-disk sequence, residencies are disk-major
+    (``park_t[d][i]``) because rung counts may differ, and the span logs
+    are rung-major with the disk id in each ``(disk, start, end)`` entry.
+
+    The threshold governing a gap comes from one of two sources.  Without
+    ``interval`` it is the static per-disk vector, whose descent schedules
+    are computed once.  With ``interval`` (a dynamic DPM policy) it is the
+    vector in effect at the gap's *drain* instant, looked up in the
+    per-interval rows :meth:`push_thresholds` appends; by the time a gap's
+    closing arrival is served its drain interval has been reached, so the
+    lookup always resolves.  Only then is every closed gap logged as
+    ``(gap, threshold_at_drain)`` for the controller's telemetry.
+    Transition spans are logged for :func:`_flush_bank_spans` to hand to
+    a binner or observer; with ``log_spans=False`` (nothing reads them)
+    a descent skips its span log, so a long fixed-threshold run does not
+    hold one tuple per transition.  An infinite threshold needs no
+    special casing: ``gap > inf`` is never true.
     """
 
     __slots__ = (
-        "avail", "sd_t", "su_t", "sb_t", "n_up", "n_down", "load",
-        "th", "no_spindown", "D", "U", "oh", "rate", "oh_a", "rate_a",
-        "ap", "cap", "T", "pt", "pv", "th_a", "D_a",
+        "avail", "load", "pt", "pv", "n_up", "n_down",
+        "oh", "rate", "oh_a", "rate_a", "ap", "cap", "T",
+        "rungs", "R", "maxR", "dn", "wk", "park_t", "down_t", "wake_t",
+        "log_spans", "park_spans", "down_spans", "wake_spans",
+        "_scale", "_entry_cache", "entries", "e1", "last_a", "dn_last_a",
+        "ci", "_th_rows", "k", "gap_log",
     )
 
     def __init__(
-        self, num_disks: int, threshold, spec, horizon: float
+        self, num_disks: int, threshold, spec, horizon: float,
+        ladder=None, interval: Optional[float] = None, log_spans: bool = True,
     ) -> None:
         specs = _per_disk_specs(spec, num_disks)
         self.avail = [0.0] * num_disks
-        self.sd_t = [0.0] * num_disks
-        self.su_t = [0.0] * num_disks
-        self.sb_t = [0.0] * num_disks
-        self.n_up = [0] * num_disks
-        self.n_down = [0] * num_disks
         # Cumulative dispatched service seconds per disk, accumulated one
         # request at a time (same order as the event dispatcher's ledger,
         # so load-comparing placement policies see bit-equal values).
@@ -274,238 +343,57 @@ class _DiskBank:
         # they stood when the instant began, not mid-batch.
         self.pt = [float("-inf")] * num_disks
         self.pv = [0.0] * num_disks
-        self.th = _per_disk_floats(threshold, num_disks)
-        self.no_spindown = all(isinf(t) for t in self.th)
-        self.D = [s.spindown_time for s in specs]
-        self.U = [s.spinup_time for s in specs]
+        self.n_up = [0] * num_disks
+        self.n_down = [0] * num_disks
         self.oh = [s.access_overhead for s in specs]
         self.rate = [s.transfer_rate for s in specs]
         self.oh_a = np.asarray(self.oh, dtype=float)
         self.rate_a = np.asarray(self.rate, dtype=float)
-        # Spin-view constants for :meth:`spinning_mask`.
-        self.th_a = np.asarray(self.th, dtype=float)
-        self.D_a = np.asarray(self.D, dtype=float)
         self.ap = np.array([s.active_power for s in specs], dtype=float)
         self.cap = None  # per-disk usable bytes, set by _simulate_chunks
         self.T = horizon
-
-    def serve(self, d: int, t: float, tr: float) -> float:
-        """Queue one request on disk ``d`` arriving at ``t``; returns the
-        service start (the event kernel's SEEK entry time)."""
-        a = self.avail[d]
-        if t != self.pt[d]:
-            self.pt[d] = t
-            self.pv[d] = a
-        if t > a:
-            # gap > inf is never true, so an inf-threshold disk never
-            # spins down — no separate no_spindown guard needed.
-            if t - a > self.th[d]:
-                # Idleness timer expired at a+th: spin down (not abortable),
-                # sleep, then spin up on this arrival.
-                sd = a + self.th[d]
-                sd_end = sd + self.D[d]
-                self.n_down[d] += 1
-                self.sd_t[d] += min(sd_end, self.T) - sd
-                if t >= sd_end:
-                    self.sb_t[d] += t - sd_end
-                    su = t
-                else:
-                    su = sd_end
-                if su < self.T:
-                    self.n_up[d] += 1
-                    self.su_t[d] += min(su + self.U[d], self.T) - su
-                s = su + self.U[d]
-            else:
-                s = t
+        if ladder is None:
+            self.rungs = [_two_rung_table(s) for s in specs]
+            self._scale = [_two_rung_entries] * num_disks
         else:
-            s = a
-        self.avail[d] = s + self.oh[d] + tr
-        self.load[d] += self.oh[d] + tr
-        return s
-
-    def serve_batch(self, d: int, ts: list, trs: list) -> List[float]:
-        """Advance disk ``d`` through a FIFO run of requests; returns the
-        service starts.  Identical recursion to :meth:`serve`, with the
-        per-disk state hoisted into locals for the long read-only runs."""
-        out: List[float] = []
-        append = out.append
-        a = self.avail[d]
-        oh = self.oh[d]
-        ld = self.load[d]
-        th = self.th[d]
-        if isinf(th):
-            # Pure Lindley recursion: serve at max(arrival, free time).
-            for t, tr in zip(ts, trs):
-                s = t if t > a else a
-                append(s)
-                a = s + oh + tr
-                ld += oh + tr
+            ladders = _per_disk_ladders(ladder, num_disks)
+            self.rungs = [l.rungs for l in ladders]
+            self._scale = [l.scaled_entries for l in ladders]
+        self.R = [len(r) for r in self.rungs]
+        self.maxR = max(self.R)
+        self.dn = [[r.down_time for r in rungs] for rungs in self.rungs]
+        self.wk = [[r.wake_time for r in rungs] for rungs in self.rungs]
+        # Rung 0's park time is the horizon residual, computed at the end.
+        self.park_t = [[0.0] * r for r in self.R]
+        self.down_t = [[0.0] * r for r in self.R]
+        self.wake_t = [[0.0] * r for r in self.R]
+        self.log_spans = log_spans
+        self.park_spans: List[List[tuple]] = [[] for _ in range(self.maxR)]
+        self.down_spans: List[List[tuple]] = [[] for _ in range(self.maxR)]
+        self.wake_spans: List[List[tuple]] = [[] for _ in range(self.maxR)]
+        # Per-disk scaled-entry caches (mixed fleets scale different
+        # ladders with the same threshold).
+        self._entry_cache: List[dict] = [{} for _ in range(num_disks)]
+        th = _per_disk_floats(threshold, num_disks)
+        if interval is None:
+            self._th_rows = None
+            self.entries = [self._entries_for(d, x) for d, x in enumerate(th)]
+            self.e1 = [e[1] for e in self.entries]
+            # Spin-view constants: the deepest rung's descent start and
+            # length per disk.
+            self.last_a = np.array([e[-1] for e in self.entries], dtype=float)
+            self.dn_last_a = np.array([dn[-1] for dn in self.dn], dtype=float)
         else:
-            D = self.D[d]
-            U = self.U[d]
-            T = self.T
-            sd_t = self.sd_t[d]
-            su_t = self.su_t[d]
-            sb_t = self.sb_t[d]
-            n_up = self.n_up[d]
-            n_down = self.n_down[d]
-            pt_d = self.pt[d]
-            pv_d = self.pv[d]
-            for t, tr in zip(ts, trs):
-                if t != pt_d:
-                    pt_d = t
-                    pv_d = a
-                if t > a:
-                    if t - a > th:
-                        sd = a + th
-                        sd_end = sd + D
-                        n_down += 1
-                        sd_t += min(sd_end, T) - sd
-                        if t >= sd_end:
-                            sb_t += t - sd_end
-                            su = t
-                        else:
-                            su = sd_end
-                        if su < T:
-                            n_up += 1
-                            su_t += min(su + U, T) - su
-                        s = su + U
-                    else:
-                        s = t
-                else:
-                    s = a
-                append(s)
-                a = s + oh + tr
-                ld += oh + tr
-            self.sd_t[d] = sd_t
-            self.su_t[d] = su_t
-            self.sb_t[d] = sb_t
-            self.n_up[d] = n_up
-            self.n_down[d] = n_down
-            self.pt[d] = pt_d
-            self.pv[d] = pv_d
-        self.avail[d] = a
-        self.load[d] = ld
-        return out
-
-    def _avail_at_instant_start(self, t: float) -> List[float]:
-        """Per-disk ``avail`` as the event kernel's placement context would
-        see it at instant ``t``: serves that happened *at* ``t`` itself are
-        rolled back to the snapshot taken when the instant began (the event
-        engine's drive processes have not run yet mid-batch)."""
-        pt = self.pt
-        pv = self.pv
-        return [
-            pv[d] if pt[d] == t else a for d, a in enumerate(self.avail)
-        ]
-
-    def spinning_mask(self, t: float) -> np.ndarray:
-        """Per-disk "not STANDBY at time ``t``" — the §1.1 write policy's
-        view of the pool.
-
-        Mirrors :attr:`~repro.disk.power.DiskState.spinning`: SEEK/ACTIVE/
-        IDLE/SPINUP *and SPINDOWN* all count as spinning.  A drained disk is
-        IDLE until ``avail + th``, SPINDOWN until ``avail + th + D``, and
-        STANDBY after; a disk still working (``t < avail``) is never in
-        STANDBY because a pending request always rides the spin transitions
-        straight back up.  Same-instant earlier serves are excluded via the
-        instant-start snapshot: a disk woken at exactly ``t`` still reads
-        STANDBY, like the event kernel's not-yet-resumed drive process.
-
-        When no disk was served at ``t`` itself (the common case) the
-        snapshot is ``avail`` unchanged, so the mask is one vector
-        expression; otherwise the per-disk snapshot loop builds it.  Both
-        paths evaluate ``(avail + th) + D`` in the same order, so they
-        agree bit for bit.
-        """
-        if self.no_spindown:
-            return np.ones(len(self.avail), dtype=bool)
-        if t in self.pt:
-            avail = np.asarray(self._avail_at_instant_start(t))
-        else:
-            avail = np.asarray(self.avail)
-        # inf-threshold disks get avail + inf == inf: always spinning.
-        return t < avail + self.th_a + self.D_a
-
-    def tail_arrays(self):
-        """Spin/transition accounting as arrays, with trailing idleness.
-
-        Called once at the horizon: every disk (including ones that never
-        served a request) spins down once its post-drain idle gap exceeds
-        the threshold, provided the timer fires before the horizon.
-        Returns ``(spindown_time, spinup_time, standby_time, spinups,
-        spindowns)`` per disk.
-        """
-        avail = np.asarray(self.avail, dtype=float)
-        spindown_time = np.asarray(self.sd_t, dtype=float)
-        spinup_time = np.asarray(self.su_t, dtype=float)
-        standby_time = np.asarray(self.sb_t, dtype=float)
-        spinups = np.asarray(self.n_up, dtype=np.int64)
-        spindowns = np.asarray(self.n_down, dtype=np.int64)
-        if not self.no_spindown:
-            # Per-disk vectors; an inf-threshold disk's sd is inf, so its
-            # tail mask is False and every where() contribution is 0.
-            sd = avail + np.asarray(self.th)
-            tail = sd < self.T
-            spindowns = spindowns + tail
-            sd_end = sd + np.asarray(self.D)
-            spindown_time = spindown_time + np.where(
-                tail, np.minimum(sd_end, self.T) - sd, 0.0
-            )
-            standby_time = standby_time + np.where(
-                tail, np.clip(self.T - sd_end, 0.0, None), 0.0
-            )
-        return spindown_time, spinup_time, standby_time, spinups, spindowns
-
-
-class _ControlledBank(_DiskBank):
-    """Per-interval, per-disk threshold variant of :class:`_DiskBank`.
-
-    Used by the controlled execution path (dynamic DPM policies).  The
-    threshold governing an idle gap is the one in effect at the disk's
-    *drain* instant — resolved by looking the drain time's control
-    interval up in ``_th_rows`` (the history of applied threshold
-    vectors).  By the time a gap's closing arrival is processed, its
-    drain interval has necessarily been reached, so the lookup is always
-    resolvable (FIFO per disk; arrivals are processed in time order).
-
-    Also logs what the fixed-path bank does not need: per-disk closed
-    idle gaps ``(gap, threshold_at_drain)`` for the control telemetry,
-    and every spin-transition episode as ``(disk, start, end)`` spans so
-    the per-interval power trace can be reconstructed after the run.
-    An infinite per-disk threshold needs no special casing: ``gap > inf``
-    is never true, so such disks simply never spin down.
-    """
-
-    __slots__ = (
-        "ci", "_th_rows", "k", "gap_log", "sd_spans", "su_spans", "sb_spans",
-    )
-
-    def __init__(
-        self,
-        num_disks: int,
-        init_thresholds: np.ndarray,
-        spec,
-        horizon: float,
-        interval: float,
-    ) -> None:
-        super().__init__(num_disks, 0.0, spec, horizon)
-        # Static thresholds unused in controlled mode (gaps resolve
-        # against the applied-vector history instead).
-        self.th = [float("nan")] * num_disks
-        self.no_spindown = False
-        self.ci = float(interval)
-        # One row per control interval; plain float lists because the hot
-        # per-gap lookup (a python list index) beats NumPy scalar
-        # extraction by a wide margin.
-        self._th_rows: List[List[float]] = [
-            np.asarray(init_thresholds, dtype=float).tolist()
-        ]
-        self.k = 0
-        self.gap_log: List[List[tuple]] = [[] for _ in range(num_disks)]
-        self.sd_spans: List[tuple] = []
-        self.su_spans: List[tuple] = []
-        self.sb_spans: List[tuple] = []
+            self.ci = float(interval)
+            # One row per control interval; plain float lists because the
+            # hot per-gap lookup (a python list index) beats NumPy scalar
+            # extraction by a wide margin.
+            self._th_rows = [th]
+            self.k = 0
+            self.gap_log: List[List[tuple]] = [[] for _ in range(num_disks)]
+            # No gap is shorter than -inf: every gap takes the logged
+            # threshold lookup of :meth:`_close_gap`.
+            self.e1 = [-inf] * num_disks
 
     def push_thresholds(self, thresholds: np.ndarray) -> None:
         """Apply the vector decided at the boundary entering interval k+1."""
@@ -519,351 +407,33 @@ class _ControlledBank(_DiskBank):
             idx = self.k
         return self._th_rows[idx][d]
 
-    def serve(self, d: int, t: float, tr: float) -> float:
-        """:meth:`_DiskBank.serve` with the per-gap threshold lookup,
-        gap logging and transition-span logging."""
-        a = self.avail[d]
-        if t != self.pt[d]:
-            self.pt[d] = t
-            self.pv[d] = a
-        if t > a:
-            th = self._th_at(a, d)
-            self.gap_log[d].append((t - a, th))
-            if t - a > th:
-                sd = a + th
-                sd_end = sd + self.D[d]
-                self.n_down[d] += 1
-                self.sd_t[d] += min(sd_end, self.T) - sd
-                self.sd_spans.append((d, sd, sd_end))
-                if t >= sd_end:
-                    self.sb_t[d] += t - sd_end
-                    self.sb_spans.append((d, sd_end, t))
-                    su = t
-                else:
-                    su = sd_end
-                if su < self.T:
-                    self.n_up[d] += 1
-                    self.su_t[d] += min(su + self.U[d], self.T) - su
-                    self.su_spans.append((d, su, su + self.U[d]))
-                s = su + self.U[d]
-            else:
-                s = t
-        else:
-            s = a
-        self.avail[d] = s + self.oh[d] + tr
-        self.load[d] += self.oh[d] + tr
-        return s
+    def _entries_for(self, d: int, th: float) -> tuple:
+        """Disk ``d``'s descent-start times under threshold ``th``; a
+        one-rung table gets ``(0, inf)`` so it never descends."""
+        cache = self._entry_cache[d]
+        entries = cache.get(th)
+        if entries is None:
+            entries = self._scale[d](th) if self.R[d] > 1 else (0.0, inf)
+            cache[th] = entries
+        return entries
 
-    def serve_batch(self, d: int, ts: list, trs: list) -> List[float]:
-        """Hoisted-locals FIFO replay with the per-gap threshold lookup.
-
-        Identical recursion to :meth:`serve`; only the per-disk state (and
-        the threshold-history rows) are lifted into locals for the long
-        read-only runs between coupling points.
-        """
-        out: List[float] = []
-        append = out.append
-        a = self.avail[d]
-        oh = self.oh[d]
-        ld = self.load[d]
-        ci = self.ci
-        th_rows = self._th_rows
-        k = self.k
-        D = self.D[d]
-        U = self.U[d]
-        T = self.T
-        sd_t = self.sd_t[d]
-        su_t = self.su_t[d]
-        sb_t = self.sb_t[d]
-        n_up = self.n_up[d]
-        n_down = self.n_down[d]
-        gap_append = self.gap_log[d].append
-        sd_spans = self.sd_spans
-        su_spans = self.su_spans
-        sb_spans = self.sb_spans
-        pt_d = self.pt[d]
-        pv_d = self.pv[d]
-        for t, tr in zip(ts, trs):
-            if t != pt_d:
-                pt_d = t
-                pv_d = a
-            if t > a:
-                idx = int(a / ci)
-                th = th_rows[idx if idx <= k else k][d]
-                gap_append((t - a, th))
-                if t - a > th:
-                    sd = a + th
-                    sd_end = sd + D
-                    n_down += 1
-                    sd_t += min(sd_end, T) - sd
-                    sd_spans.append((d, sd, sd_end))
-                    if t >= sd_end:
-                        sb_t += t - sd_end
-                        sb_spans.append((d, sd_end, t))
-                        su = t
-                    else:
-                        su = sd_end
-                    if su < T:
-                        n_up += 1
-                        su_t += min(su + U, T) - su
-                        su_spans.append((d, su, su + U))
-                    s = su + U
-                else:
-                    s = t
-            else:
-                s = a
-            append(s)
-            a = s + oh + tr
-            ld += oh + tr
-        self.sd_t[d] = sd_t
-        self.su_t[d] = su_t
-        self.sb_t[d] = sb_t
-        self.n_up[d] = n_up
-        self.n_down[d] = n_down
-        self.pt[d] = pt_d
-        self.pv[d] = pv_d
-        self.avail[d] = a
-        self.load[d] = ld
-        return out
-
-    def spinning_mask(self, t: float) -> np.ndarray:
-        out = np.empty(len(self.avail), dtype=bool)
-        for d, a in enumerate(self._avail_at_instant_start(t)):
-            # inf threshold => a + inf == inf => always spinning.
-            out[d] = t < a + self._th_at(a, d) + self.D[d]
-        return out
-
-    def tail_arrays(self):
-        spindown_time = np.asarray(self.sd_t, dtype=float)
-        spinup_time = np.asarray(self.su_t, dtype=float)
-        standby_time = np.asarray(self.sb_t, dtype=float)
-        spinups = np.asarray(self.n_up, dtype=np.int64)
-        spindowns = np.asarray(self.n_down, dtype=np.int64).copy()
-        T = self.T
-        for d, a in enumerate(self.avail):
-            sd = a + self._th_at(a, d)
-            if sd < T:
-                spindowns[d] += 1
-                sd_end = sd + self.D[d]
-                spindown_time[d] += min(sd_end, T) - sd
-                self.sd_spans.append((d, sd, sd_end))
-                if sd_end < T:
-                    standby_time[d] += T - sd_end
-                    self.sb_spans.append((d, sd_end, T))
-        return spindown_time, spinup_time, standby_time, spinups, spindowns
-
-
-class _ObservedDiskBank(_DiskBank):
-    """:class:`_DiskBank` plus spin-transition span logging for observers.
-
-    Selected (once, at run start) when a fixed-threshold run carries an
-    enabled :class:`~repro.obs.hooks.RunObserver`, so the unobserved hot
-    path stays untouched.  The recursion and every accounting update are
-    copied verbatim from the base class — the only additions are the
-    ``(disk, start, end)`` span appends the controlled bank already
-    performs; the differential harness's observer axis asserts observed
-    and unobserved runs are bit-identical.
-    """
-
-    __slots__ = ("sd_spans", "su_spans", "sb_spans")
-
-    def __init__(
-        self, num_disks: int, threshold, spec, horizon: float
-    ) -> None:
-        super().__init__(num_disks, threshold, spec, horizon)
-        self.sd_spans: List[tuple] = []
-        self.su_spans: List[tuple] = []
-        self.sb_spans: List[tuple] = []
-
-    def serve(self, d: int, t: float, tr: float) -> float:
-        a = self.avail[d]
-        if t != self.pt[d]:
-            self.pt[d] = t
-            self.pv[d] = a
-        if t > a:
-            if t - a > self.th[d]:
-                sd = a + self.th[d]
-                sd_end = sd + self.D[d]
-                self.n_down[d] += 1
-                self.sd_t[d] += min(sd_end, self.T) - sd
-                self.sd_spans.append((d, sd, sd_end))
-                if t >= sd_end:
-                    self.sb_t[d] += t - sd_end
-                    self.sb_spans.append((d, sd_end, t))
-                    su = t
-                else:
-                    su = sd_end
-                if su < self.T:
-                    self.n_up[d] += 1
-                    self.su_t[d] += min(su + self.U[d], self.T) - su
-                    self.su_spans.append((d, su, su + self.U[d]))
-                s = su + self.U[d]
-            else:
-                s = t
-        else:
-            s = a
-        self.avail[d] = s + self.oh[d] + tr
-        self.load[d] += self.oh[d] + tr
-        return s
-
-    def serve_batch(self, d: int, ts: list, trs: list) -> List[float]:
-        out: List[float] = []
-        append = out.append
-        a = self.avail[d]
-        oh = self.oh[d]
-        ld = self.load[d]
-        th = self.th[d]
-        if isinf(th):
-            for t, tr in zip(ts, trs):
-                s = t if t > a else a
-                append(s)
-                a = s + oh + tr
-                ld += oh + tr
-        else:
-            D = self.D[d]
-            U = self.U[d]
-            T = self.T
-            sd_t = self.sd_t[d]
-            su_t = self.su_t[d]
-            sb_t = self.sb_t[d]
-            n_up = self.n_up[d]
-            n_down = self.n_down[d]
-            sd_spans = self.sd_spans
-            su_spans = self.su_spans
-            sb_spans = self.sb_spans
-            pt_d = self.pt[d]
-            pv_d = self.pv[d]
-            for t, tr in zip(ts, trs):
-                if t != pt_d:
-                    pt_d = t
-                    pv_d = a
-                if t > a:
-                    if t - a > th:
-                        sd = a + th
-                        sd_end = sd + D
-                        n_down += 1
-                        sd_t += min(sd_end, T) - sd
-                        sd_spans.append((d, sd, sd_end))
-                        if t >= sd_end:
-                            sb_t += t - sd_end
-                            sb_spans.append((d, sd_end, t))
-                            su = t
-                        else:
-                            su = sd_end
-                        if su < T:
-                            n_up += 1
-                            su_t += min(su + U, T) - su
-                            su_spans.append((d, su, su + U))
-                        s = su + U
-                    else:
-                        s = t
-                else:
-                    s = a
-                append(s)
-                a = s + oh + tr
-                ld += oh + tr
-            self.sd_t[d] = sd_t
-            self.su_t[d] = su_t
-            self.sb_t[d] = sb_t
-            self.n_up[d] = n_up
-            self.n_down[d] = n_down
-            self.pt[d] = pt_d
-            self.pv[d] = pv_d
-        self.avail[d] = a
-        self.load[d] = ld
-        return out
-
-    def tail_arrays(self):
-        # Log the trailing spin-down/standby episodes the vectorized base
-        # pass is about to bill, then let it do the (unchanged) math.
-        if not self.no_spindown:
-            T = self.T
-            for d, a in enumerate(self.avail):
-                sd = a + self.th[d]
-                if sd < T:
-                    sd_end = sd + self.D[d]
-                    self.sd_spans.append((d, sd, sd_end))
-                    if sd_end < T:
-                        self.sb_spans.append((d, sd_end, T))
-        return super().tail_arrays()
-
-
-class _LadderBank:
-    """Multi-rung generalization of :class:`_DiskBank` for DPM ladders.
-
-    Evolves exactly the state the event kernel's
-    :class:`~repro.disk.multistate.MultiStateDiskDrive` evolves: per disk,
-    the time it next falls idle plus per-rung park/descent/wake
-    residencies.  An idle gap walks the ladder's (threshold-scaled)
-    descent schedule: fully traversed rungs bill their descent and park
-    times, the rung occupied when the gap ends bills a (possibly
-    horizon-clipped) descent plus park-until-arrival, and the wake is
-    billed at the rung's wake power for its configured wake time.  With
-    the ``two_state`` ladder the recursion's arithmetic is term-for-term
-    the classic :class:`_DiskBank` spin-down/spin-up recursion, so that
-    ladder simulates byte-identically to the pre-ladder kernel (the
-    regression tests in ``tests/sim/test_ladder_fastkernel.py`` assert
-    bit-equal response times and energies).
-
-    Heterogeneous fleets: ``ladder``/``spec``/``threshold`` accept
-    per-disk sequences — every disk descends *its own* (threshold-scaled)
-    schedule, and the residencies are kept disk-major (``park_t[d][i]``)
-    because rung counts may differ across the pool.  Scalars tile across
-    the pool, reproducing the historical uniform recursion bit-for-bit.
-    """
-
-    def __init__(
-        self, num_disks: int, threshold, ladder, spec,
-        horizon: float,
-    ) -> None:
-        specs = _per_disk_specs(spec, num_disks)
-        ladders = _per_disk_ladders(ladder, num_disks)
-        self.avail = [0.0] * num_disks
-        self.load = [0.0] * num_disks
-        # Instant-start avail snapshot (see _DiskBank.pt/pv): placements at
-        # time t must not see disks woken by same-instant earlier serves.
-        self.pt = [float("-inf")] * num_disks
-        self.pv = [0.0] * num_disks
-        self.n_up = [0] * num_disks
-        self.n_down = [0] * num_disks
-        self.oh = [s.access_overhead for s in specs]
-        self.rate = [s.transfer_rate for s in specs]
-        self.oh_a = np.asarray(self.oh, dtype=float)
-        self.rate_a = np.asarray(self.rate, dtype=float)
-        self.ap = np.array([s.active_power for s in specs], dtype=float)
-        self.cap = None  # per-disk usable bytes, set by _simulate_chunks
-        self.T = horizon
-        self.ladders = ladders
-        self.ladder = ladders[0]
-        self.R = [len(l.rungs) for l in ladders]
-        self.maxR = max(self.R)
-        self.dn = [[r.down_time for r in l.rungs] for l in ladders]
-        self.wk = [[r.wake_time for r in l.rungs] for l in ladders]
-        # Per-disk per-rung residencies (disk-major: rung counts may
-        # differ across a mixed fleet); rung 0's park time is computed as
-        # the horizon residual (like the classic bank's idle time).
-        self.park_t = [[0.0] * self.R[d] for d in range(num_disks)]
-        self.down_t = [[0.0] * self.R[d] for d in range(num_disks)]
-        self.wake_t = [[0.0] * self.R[d] for d in range(num_disks)]
-        self.th = _per_disk_floats(threshold, num_disks)
-        self.entries = [
-            ladders[d].scaled_entries(self.th[d]) for d in range(num_disks)
-        ]
-        self.no_descend = [
-            self.R[d] == 1 or isinf(self.entries[d][1])
-            for d in range(num_disks)
-        ]
+    def _gap_entries(self, d: int, a: float) -> tuple:
+        """Descent schedule of disk ``d``'s gap that began at ``a``."""
+        if self._th_rows is None:
+            return self.entries[d]
+        return self._entries_for(d, self._th_at(a, d))
 
     def _descend(self, d: int, a: float, t: float, entries) -> float:
-        """Walk the idle gap ``[a, t)`` down disk ``d``'s ladder; returns
-        the wake completion (service start) and bills every residency
-        touched."""
+        """Walk the idle gap ``[a, t)`` down disk ``d``'s rungs; returns
+        the wake completion (service start), billing and logging every
+        residency touched."""
         g = t - a
         T = self.T
         dn = self.dn[d]
         R = self.R[d]
         down_t = self.down_t[d]
         park_t = self.park_t[d]
+        log = self.log_spans
         i = 1
         while i + 1 < R and g > entries[i + 1]:
             i += 1
@@ -876,21 +446,43 @@ class _LadderBank:
             pe = a + entries[j + 1]
             if pe > de:
                 park_t[j] += pe - de
+            if log:
+                self.down_spans[j].append((d, ds, de))
+                if pe > de:
+                    self.park_spans[j].append((d, de, pe))
         ds = a + entries[i]
         de = ds + dn[i]
         self.n_down[d] += i
-        down_t[i] += min(de, T) - ds
+        down_t[i] += (de if de < T else T) - ds
         if t >= de:
             park_t[i] += t - de
             ws = t
         else:
             # Arrived mid-descent: the transition is not abortable.
             ws = de
-        w = self.wk[d][i]
+        we = ws + self.wk[d][i]
         if ws < T:
             self.n_up[d] += 1
-            self.wake_t[d][i] += min(ws + w, T) - ws
-        return ws + w
+            self.wake_t[d][i] += (we if we < T else T) - ws
+        if log:
+            self.down_spans[i].append((d, ds, de))
+            if t >= de:
+                self.park_spans[i].append((d, de, t))
+            if ws < T:
+                self.wake_spans[i].append((d, ws, we))
+        return we
+
+    def _close_gap(self, d: int, a: float, t: float) -> float:
+        """The service start after disk ``d``'s idle gap ``[a, t)`` that
+        outlasts ``e1[d]``.  With static thresholds ``e1`` is the first
+        rung entry, so the gap descends; under control, look its threshold
+        up and log it, and descend if it outlasts that entry."""
+        if self._th_rows is None:
+            return self._descend(d, a, t, self.entries[d])
+        th = self._th_at(a, d)
+        self.gap_log[d].append((t - a, th))
+        entries = self._entries_for(d, th)
+        return t if t - a <= entries[1] else self._descend(d, a, t, entries)
 
     def serve(self, d: int, t: float, tr: float) -> float:
         """Queue one request on disk ``d`` arriving at ``t``; returns the
@@ -899,234 +491,59 @@ class _LadderBank:
         if t != self.pt[d]:
             self.pt[d] = t
             self.pv[d] = a
-        if t > a:
-            if self.no_descend[d] or t - a <= self.entries[d][1]:
-                s = t
-            else:
-                s = self._descend(d, a, t, self.entries[d])
-        else:
+        if t <= a:
             s = a
+        elif t - a <= self.e1[d]:
+            s = t
+        else:
+            s = self._close_gap(d, a, t)
         self.avail[d] = s + self.oh[d] + tr
         self.load[d] += self.oh[d] + tr
         return s
 
     def serve_batch(self, d: int, ts: list, trs: list) -> List[float]:
-        """FIFO replay of one disk's run, one :meth:`serve` per request.
-
-        Not hoisted like the two-state banks' replay: a ``two_state``
-        ladder run takes 1.25–1.54x the classic bank's time on the
-        paper's baseline workload, for bit-equal results."""
-        serve = self.serve
-        return [serve(d, t, tr) for t, tr in zip(ts, trs)]
-
-    def spinning_mask(self, t: float) -> np.ndarray:
-        """Per-disk "not parked in the deepest rung at ``t``" — descents,
-        intermediate rungs and wakes all count as spinning, exactly like
-        the classic bank's SPINDOWN-inclusive mask (and like it, computed
-        from the instant-start snapshot so same-instant wakes stay
-        invisible)."""
-        pt = self.pt
-        pv = self.pv
-        out = np.empty(len(self.avail), dtype=bool)
-        for d, a in enumerate(self.avail):
-            if pt[d] == t:
-                a = pv[d]
-            if self.no_descend[d]:
-                out[d] = True
-            else:
-                out[d] = t < (a + self.entries[d][-1]) + self.dn[d][-1]
-        return out
-
-    def _tail_one(self, d: int, a: float, entries) -> None:
-        """Fold one disk's post-drain trailing idleness (descents started
-        before the horizon, parks clipped at it) into the residencies."""
-        T = self.T
-        R = self.R[d]
-        dn = self.dn[d]
-        down_t = self.down_t[d]
-        park_t = self.park_t[d]
-        for i in range(1, R):
-            ds = a + entries[i]
-            if ds >= T:
-                break
-            de = ds + dn[i]
-            self.n_down[d] += 1
-            down_t[i] += min(de, T) - ds
-            pe = (a + entries[i + 1]) if i + 1 < R else T
-            if pe > T:
-                pe = T
-            if pe > de:
-                park_t[i] += pe - de
-
-    def apply_tail(self):
-        """Trailing-idleness pass at the horizon; returns per-disk
-        ``(spinups, spindowns)`` arrays."""
-        for d, a in enumerate(self.avail):
-            if not self.no_descend[d]:
-                self._tail_one(d, a, self.entries[d])
-        return (
-            np.asarray(self.n_up, dtype=np.int64),
-            np.asarray(self.n_down, dtype=np.int64),
-        )
-
-
-class _ControlledLadderBank(_LadderBank):
-    """Per-interval, per-disk threshold variant of :class:`_LadderBank`.
-
-    The controller's scalar per-disk threshold (resolved at each gap's
-    drain instant from the applied-vector history, exactly like
-    :class:`_ControlledBank`) scales the whole descent schedule via
-    :meth:`~repro.disk.dpm.DpmLadder.scaled_entries` — so
-    ``adaptive_timeout``/``slo_feedback`` steer ladder descent with the
-    same telemetry contract as the two-state drives.  Also logs closed
-    idle gaps for the telemetry feed and every park/descent/wake episode
-    as ``(disk, start, end)`` spans for the per-interval power trace.
-    """
-
-    def __init__(
-        self,
-        num_disks: int,
-        init_thresholds: np.ndarray,
-        ladder,
-        spec,
-        horizon: float,
-        interval: float,
-    ) -> None:
-        super().__init__(num_disks, 0.0, ladder, spec, horizon)
-        self.entries = None  # per-gap schedules only; never a shared one
-        self.no_descend = [False] * num_disks
-        self.ci = float(interval)
-        self._th_rows: List[List[float]] = [
-            np.asarray(init_thresholds, dtype=float).tolist()
-        ]
-        self.k = 0
-        # Per-disk scaled-entry caches (mixed fleets scale different
-        # ladders with the same controller threshold).
-        self._entry_cache: List[dict] = [{} for _ in range(num_disks)]
-        self.gap_log: List[List[tuple]] = [[] for _ in range(num_disks)]
-        # Span logs are rung-index keyed across the whole pool (entries
-        # carry the disk id); maxR covers the deepest ladder in the mix.
-        self.park_spans: List[List[tuple]] = [[] for _ in range(self.maxR)]
-        self.down_spans: List[List[tuple]] = [[] for _ in range(self.maxR)]
-        self.wake_spans: List[List[tuple]] = [[] for _ in range(self.maxR)]
-
-    def push_thresholds(self, thresholds: np.ndarray) -> None:
-        """Apply the vector decided at the boundary entering interval k+1."""
-        self._th_rows.append(np.asarray(thresholds, dtype=float).tolist())
-        self.k += 1
-
-    def _th_at(self, drain: float, d: int) -> float:
-        """Threshold governing a gap that began at ``drain`` on disk ``d``."""
-        idx = int(drain / self.ci)
-        if idx > self.k:
-            idx = self.k
-        return self._th_rows[idx][d]
-
-    def _entries_for(self, d: int, th: float):
-        cache = self._entry_cache[d]
-        entries = cache.get(th)
-        if entries is None:
-            entries = self.ladders[d].scaled_entries(th)
-            cache[th] = entries
-        return entries
-
-    def _descend_logged(self, d: int, a: float, t: float, entries) -> float:
-        """:meth:`_LadderBank._descend` plus span logging for the trace."""
-        g = t - a
-        T = self.T
-        dn = self.dn[d]
-        R = self.R[d]
-        down_t = self.down_t[d]
-        park_t = self.park_t[d]
-        i = 1
-        while i + 1 < R and g > entries[i + 1]:
-            i += 1
-        for j in range(1, i):
-            ds = a + entries[j]
-            de = ds + dn[j]
-            down_t[j] += de - ds
-            self.down_spans[j].append((d, ds, de))
-            pe = a + entries[j + 1]
-            if pe > de:
-                park_t[j] += pe - de
-                self.park_spans[j].append((d, de, pe))
-        ds = a + entries[i]
-        de = ds + dn[i]
-        self.n_down[d] += i
-        down_t[i] += min(de, T) - ds
-        self.down_spans[i].append((d, ds, de))
-        if t >= de:
-            park_t[i] += t - de
-            self.park_spans[i].append((d, de, t))
-            ws = t
-        else:
-            ws = de
-        w = self.wk[d][i]
-        if ws < T:
-            self.n_up[d] += 1
-            self.wake_t[d][i] += min(ws + w, T) - ws
-            self.wake_spans[i].append((d, ws, ws + w))
-        return ws + w
-
-    def serve(self, d: int, t: float, tr: float) -> float:
-        a = self.avail[d]
-        if t != self.pt[d]:
-            self.pt[d] = t
-            self.pv[d] = a
-        if t > a:
-            th = self._th_at(a, d)
-            self.gap_log[d].append((t - a, th))
-            entries = self._entries_for(d, th)
-            if self.R[d] == 1 or isinf(entries[1]) or t - a <= entries[1]:
-                s = t
-            else:
-                s = self._descend_logged(d, a, t, entries)
-        else:
-            s = a
-        self.avail[d] = s + self.oh[d] + tr
-        self.load[d] += self.oh[d] + tr
-        return s
-
-    def serve_batch(self, d: int, ts: list, trs: list) -> List[float]:
-        """Hoisted-locals FIFO replay; identical recursion to :meth:`serve`.
-
-        Term for term :meth:`_ControlledBank.serve_batch`: the per-disk
-        state, the threshold-row lookup and the disk's scaled-entry cache
-        live in locals across the run, and only the spin-down walk calls
-        out (to :meth:`_descend_logged`, which bills and logs the rungs).
-        """
+        """Advance disk ``d`` through a FIFO run of requests; returns the
+        service starts.  Identical recursion to :meth:`serve`, with the
+        per-disk state, the threshold rows and the scaled-entry cache
+        hoisted into locals for the long read-only runs; only a descent
+        calls out (to :meth:`_descend`).  A static gap no longer than
+        ``e1`` costs one comparison; under control ``e1`` is ``-inf``."""
         out: List[float] = []
         append = out.append
         a = self.avail[d]
         oh = self.oh[d]
         ld = self.load[d]
-        ci = self.ci
-        th_rows = self._th_rows
-        k = self.k
-        one_rung = self.R[d] == 1
-        cache = self._entry_cache[d]
-        scaled_entries = self.ladders[d].scaled_entries
-        gap_append = self.gap_log[d].append
-        descend = self._descend_logged
         pt_d = self.pt[d]
         pv_d = self.pv[d]
+        descend = self._descend
+        e1 = self.e1[d]
+        rows = self._th_rows
+        if rows is None:
+            entries = self.entries[d]
+        else:
+            ci = self.ci
+            k = self.k
+            cache = self._entry_cache[d]
+            entries_for = self._entries_for
+            gap_append = self.gap_log[d].append
         for t, tr in zip(ts, trs):
             if t != pt_d:
                 pt_d = t
                 pv_d = a
-            if t > a:
+            if t <= a:
+                s = a
+            elif t - a <= e1:
+                s = t
+            elif rows is None:
+                s = descend(d, a, t, entries)  # static: e1 is entries[1]
+            else:
                 idx = int(a / ci)
-                th = th_rows[idx if idx <= k else k][d]
+                th = rows[idx if idx <= k else k][d]
                 gap_append((t - a, th))
                 entries = cache.get(th)
                 if entries is None:
-                    entries = cache[th] = scaled_entries(th)
-                if one_rung or isinf(entries[1]) or t - a <= entries[1]:
-                    s = t
-                else:
-                    s = descend(d, a, t, entries)
-            else:
-                s = a
+                    entries = entries_for(d, th)
+                s = t if t - a <= entries[1] else descend(d, a, t, entries)
             append(s)
             a = s + oh + tr
             ld += oh + tr
@@ -1137,76 +554,73 @@ class _ControlledLadderBank(_LadderBank):
         return out
 
     def spinning_mask(self, t: float) -> np.ndarray:
-        pt = self.pt
-        pv = self.pv
-        out = np.empty(len(self.avail), dtype=bool)
-        for d, a in enumerate(self.avail):
-            if pt[d] == t:
-                a = pv[d]
-            if self.R[d] == 1:
-                out[d] = True
-                continue
-            entries = self._entries_for(d, self._th_at(a, d))
-            # inf threshold => a + inf == inf => always spinning.
-            out[d] = t < (a + entries[-1]) + self.dn[d][-1]
-        return out
+        """Per-disk "not parked in the deepest rung at ``t``" — the §1.1
+        write policy's view of the pool.
 
-    def _tail_one(self, d: int, a: float, entries) -> None:
-        """Trailing idleness with span logging (parks clipped at T)."""
-        T = self.T
-        R = self.R[d]
-        dn = self.dn[d]
-        down_t = self.down_t[d]
-        park_t = self.park_t[d]
-        for i in range(1, R):
-            ds = a + entries[i]
-            if ds >= T:
-                break
-            de = ds + dn[i]
-            self.n_down[d] += 1
-            down_t[i] += min(de, T) - ds
-            self.down_spans[i].append((d, ds, de))
-            pe = (a + entries[i + 1]) if i + 1 < R else T
-            if pe > T:
-                pe = T
-            if pe > de:
-                park_t[i] += pe - de
-                self.park_spans[i].append((d, de, pe))
+        Mirrors :attr:`~repro.disk.power.DiskState.spinning`: serving,
+        idle, intermediate rungs, wakes *and descents* all count as
+        spinning.  A drained disk reaches its deepest rung at ``(avail +
+        entry) + down``; a disk still working (``t < avail``) is never
+        parked because a pending request always rides the transitions
+        straight back up.  Same-instant earlier serves are excluded via
+        the instant-start snapshot: a disk woken at exactly ``t`` still
+        reads as parked, like the event kernel's not-yet-resumed drive.
+        Static thresholds make this one vector expression; under control
+        each disk's schedule depends on its drain interval.
+        """
+        if t in self.pt:
+            pt = self.pt
+            pv = self.pv
+            avail = [pv[d] if pt[d] == t else a for d, a in enumerate(self.avail)]
+        else:
+            avail = self.avail
+        if self._th_rows is None:
+            # A never-descending disk's entry is inf: always spinning.
+            return t < (np.asarray(avail) + self.last_a) + self.dn_last_a
+        return np.array(
+            [
+                t < (a + self._gap_entries(d, a)[-1]) + self.dn[d][-1]
+                for d, a in enumerate(avail)
+            ],
+            dtype=bool,
+        )
 
     def apply_tail(self):
+        """Trailing-idleness pass at the horizon; returns per-disk
+        ``(spinups, spindowns)`` arrays.
+
+        Every disk (including ones that never served a request) descends
+        from its drain instant as far as the horizon allows: descents
+        started before it are billed (clipped at it), parks up to the next
+        descent or the horizon.
+        """
+        T = self.T
         for d, a in enumerate(self.avail):
-            self._tail_one(d, a, self._entries_for(d, self._th_at(a, d)))
+            entries = self._gap_entries(d, a)
+            R = self.R[d]
+            dn = self.dn[d]
+            for i in range(1, R):
+                ds = a + entries[i]
+                if ds >= T:
+                    break
+                de = ds + dn[i]
+                self.n_down[d] += 1
+                self.down_t[d][i] += min(de, T) - ds
+                self.down_spans[i].append((d, ds, de))
+                pe = (a + entries[i + 1]) if i + 1 < R else T
+                if pe > T:
+                    pe = T
+                if pe > de:
+                    self.park_t[d][i] += pe - de
+                    self.park_spans[i].append((d, de, pe))
         return (
             np.asarray(self.n_up, dtype=np.int64),
             np.asarray(self.n_down, dtype=np.int64),
         )
 
 
-class _ObservedLadderBank(_LadderBank):
-    """:class:`_LadderBank` plus rung-transition span logging for observers.
-
-    The controlled ladder bank's logged walk is term-for-term the base
-    recursion plus span appends, and the base class dispatches its gap
-    walks through ``self._descend`` / ``self._tail_one`` — so rebinding
-    those to the logged variants (plus allocating the span logs) is the
-    whole override.  Selected once at run start when a fixed-threshold
-    ladder run carries an enabled observer.
-    """
-
-    _descend = _ControlledLadderBank._descend_logged
-    _tail_one = _ControlledLadderBank._tail_one
-
-    def __init__(
-        self, num_disks: int, threshold, ladder, spec, horizon: float
-    ) -> None:
-        super().__init__(num_disks, threshold, ladder, spec, horizon)
-        self.park_spans: List[List[tuple]] = [[] for _ in range(self.maxR)]
-        self.down_spans: List[List[tuple]] = [[] for _ in range(self.maxR)]
-        self.wake_spans: List[List[tuple]] = [[] for _ in range(self.maxR)]
-
-
 def _allocate_for_write(
-    bank: _DiskBank,
+    bank: _Bank,
     policy: WritePlacementPolicy,
     free: np.ndarray,
     size: float,
@@ -1243,7 +657,7 @@ def _group_key(d: np.ndarray, num_disks: int) -> np.ndarray:
 
 
 def _serve_segment(
-    bank: _DiskBank,
+    bank: _Bank,
     d_seg: np.ndarray,
     t_seg: np.ndarray,
     tr_seg: np.ndarray,
@@ -1277,160 +691,172 @@ def _serve_segment(
     starts_out[order] = seg_starts
 
 
-def _serve_segmented(
-    bank: _DiskBank,
-    policy: WritePlacementPolicy,
-    mapping: np.ndarray,
-    free: np.ndarray,
-    sizes: np.ndarray,
-    fid: np.ndarray,
-    t_all: np.ndarray,
-    sz_all: np.ndarray,
-    is_write: np.ndarray,
-    starts: np.ndarray,
-    d_req: np.ndarray,
-    obs=None,
-) -> None:
-    """Mixed read/write stream without a cache.
+class _Dispatch:
+    """The grouped, segmented and coupled serve paths (see the module
+    docstring) over one bank, with the run's shared placement and cache
+    state; :meth:`serve` picks the fastest that applies.
 
-    Only the *first* touch of an initially-unmapped file couples the disks
-    (it runs the placement policy against global spin/load state);
-    everything between those coupling points is replayed through the
-    vectorized per-disk recursion with carried-in state.  Transfer times
-    are resolved here, once the serving disk is known — per-disk rates on
-    a mixed fleet make them a property of the (request, disk) pair.
+    ``heap`` carries pending admissions across calls (the final drain is
+    :meth:`admit_pending`), and ``map_l``/``size_l`` are one list
+    materialization of the (large) per-file arrays shared by every call
+    (``map_l`` is kept in sync with ``mapping`` on every allocation).
+    Evictions happen inside ``cache.admit``, which has no notion of
+    simulated time, so an observed run keeps ``obs_clock`` at the current
+    admission instant for the evict hook.
     """
-    rate_a = bank.rate_a
-    unmapped = np.flatnonzero(mapping[fid] < 0)
-    if unmapped.size:
-        _, first = np.unique(fid[unmapped], return_index=True)
-        boundaries = np.sort(unmapped[first])
-    else:
-        boundaries = np.empty(0, dtype=np.int64)
 
-    prev = 0
-    for b in boundaries.tolist():
-        if b > prev:
-            seg = slice(prev, b)
-            d_seg = mapping[fid[seg]]
-            bad = np.flatnonzero(d_seg < 0)
-            if bad.size:
+    __slots__ = (
+        "bank", "policy", "mapping", "free", "sizes", "cache", "heap",
+        "map_l", "size_l", "obs", "obs_clock",
+    )
+
+    def __init__(self, bank, policy, mapping, free, sizes, cache, obs) -> None:
+        self.bank = bank
+        self.policy = policy
+        self.mapping = mapping
+        self.free = free
+        self.sizes = sizes
+        self.cache = cache
+        self.obs = obs
+        self.heap: list = []
+        self.map_l = mapping.tolist() if cache is not None else None
+        self.size_l = sizes.tolist() if cache is not None else None
+        self.obs_clock = clock = [0.0]
+        if obs is not None and cache is not None:
+            cache.evict_hook = lambda f: obs.on_cache_event(
+                clock[0], "evict", f
+            )
+
+    def serve(
+        self,
+        fid: np.ndarray,
+        t_all: np.ndarray,
+        sz_all: np.ndarray,
+        is_write: Optional[np.ndarray],
+        starts: np.ndarray,
+        base_index: int,
+    ) -> np.ndarray:
+        """Serve one time-sorted batch, filling ``starts``; returns each
+        request's disk (``-1`` marks a cache hit).  ``base_index`` is the
+        batch's first global arrival index (the admission heap's
+        tie-break)."""
+        if self.cache is None and is_write is None:
+            d = self.mapping[fid]
+            # A read of a file no write has placed yet (``d == -1``).
+            if d.size and int(d.min()) < 0:
                 raise SimulationError(
-                    f"read of unallocated file {int(fid[prev + bad[0]])}; "
+                    f"read of unallocated file {int(fid[int(np.argmin(d))])}; "
                     "allocate it first"
                 )
             _serve_segment(
-                bank, d_seg, t_all[seg], sz_all[seg] / rate_a[d_seg],
-                starts[seg],
+                self.bank, d, t_all, sz_all / self.bank.rate_a[d], starts
             )
-            d_req[seg] = d_seg
-        f = int(fid[b])
-        if not is_write[b]:
-            raise SimulationError(
-                f"read of unallocated file {f}; allocate it first"
-            )
-        t = float(t_all[b])
-        size = float(sizes[f])
-        d = _allocate_for_write(bank, policy, free, size, t)
-        if obs is not None:
-            obs.on_placement(t, f, d)
-        mapping[f] = d
-        free[d] -= size
-        starts[b] = bank.serve(d, t, size / bank.rate[d])
-        d_req[b] = d
-        prev = b + 1
-
-    tail = slice(prev, int(t_all.size))
-    d_tail = mapping[fid[tail]]
-    bad = np.flatnonzero(d_tail < 0)
-    if bad.size:
-        raise SimulationError(
-            f"read of unallocated file {int(fid[prev + bad[0]])}; "
-            "allocate it first"
-        )
-    _serve_segment(
-        bank, d_tail, t_all[tail], sz_all[tail] / rate_a[d_tail], starts[tail]
-    )
-    d_req[tail] = d_tail
-
-
-def _serve_coupled(
-    bank: _DiskBank,
-    policy: WritePlacementPolicy,
-    mapping: np.ndarray,
-    free: np.ndarray,
-    sizes: np.ndarray,
-    fid: np.ndarray,
-    t_all: np.ndarray,
-    is_write: Optional[np.ndarray],
-    cache,
-    starts: np.ndarray,
-    d_req: np.ndarray,
-    heap: Optional[list] = None,
-    base_index: int = 0,
-    flush: bool = True,
-    map_l: Optional[list] = None,
-    size_l: Optional[list] = None,
-    obs=None,
-    obs_clock: Optional[list] = None,
-) -> None:
-    """Globally time-merged pass for shared-cache runs (writes optional).
-
-    Reads look the cache up at arrival and, on a miss, schedule an
-    admission at their completion time; a min-heap drains those admissions
-    in completion order between arrivals, reproducing the event kernel's
-    interleaving (hit short-circuit, admit-on-miss-completion).  Ties
-    (admission exactly at an arrival instant) admit first; admissions at or
-    after the horizon never happen, exactly like the event kernel's URGENT
-    stop pre-empting completion events at ``T``.
-
-    The controlled path calls this once per control interval on a slice of
-    the stream: ``heap`` carries pending admissions across the calls,
-    ``base_index`` keeps the heap's tie-break sequence global,
-    ``flush=False`` defers the final drain until the last slice, and
-    ``map_l``/``size_l`` reuse one list materialization of the (large)
-    per-file arrays across all slices (``map_l`` is kept in sync with
-    ``mapping`` on every allocation, so sharing it is safe).
-    """
-    if heap is None:
-        heap = []
-    if obs is not None and obs_clock is None:
-        obs_clock = [0.0]
-    if map_l is None:
-        map_l = mapping.tolist()
-    if size_l is None:
-        size_l = sizes.tolist()
-    lookup = cache.lookup
-    admit = cache.admit
-    serve = bank.serve
-    oh_l = bank.oh
-    rate_l = bank.rate
-    T = bank.T
-    fid_l = fid.tolist()
-    t_l = t_all.tolist()
-    w_l = is_write.tolist() if is_write is not None else None
-    for i in range(len(t_l)):
-        t = t_l[i]
-        f = fid_l[i]
-        while heap and heap[0][0] <= t:
-            c_adm, _, hf, hs = heappop(heap)
-            if obs is not None:
-                obs_clock[0] = c_adm
-                obs.on_cache_event(c_adm, "admit", hf)
-            admit(hf, hs)
-        if w_l is not None and w_l[i]:
-            d = map_l[f]
-            if d < 0:
-                size = size_l[f]
-                d = _allocate_for_write(bank, policy, free, size, t)
-                if obs is not None:
-                    obs.on_placement(t, f, d)
-                map_l[f] = d
-                mapping[f] = d
-                free[d] -= size
-            starts[i] = serve(d, t, size_l[f] / rate_l[d])
-            d_req[i] = d
+            return d
+        d_req = np.empty(int(t_all.size), dtype=np.int64)
+        if self.cache is not None:
+            self._serve_coupled(fid, t_all, is_write, starts, d_req, base_index)
         else:
+            self._serve_segmented(fid, t_all, sz_all, is_write, starts, d_req)
+        return d_req
+
+    def _place(self, f: int, t: float) -> int:
+        """Allocate file ``f`` (first written at ``t``) to a disk."""
+        size = float(self.sizes[f])
+        d = _allocate_for_write(self.bank, self.policy, self.free, size, t)
+        if self.obs is not None:
+            self.obs.on_placement(t, f, d)
+        self.mapping[f] = d
+        if self.map_l is not None:
+            self.map_l[f] = d
+        self.free[d] -= size
+        return d
+
+    def _serve_segmented(self, fid, t_all, sz_all, is_write, starts, d_req):
+        """Writes without a cache: only the *first* touch of an
+        initially-unmapped file couples the disks (it runs the placement
+        policy against global spin/load state); everything between those
+        coupling points replays grouped with carried-in state.  Transfer
+        times are resolved once the serving disk is known — per-disk rates
+        on a mixed fleet make them a property of the (request, disk)
+        pair."""
+        bank = self.bank
+        mapping = self.mapping
+        unmapped = np.flatnonzero(mapping[fid] < 0)
+        if unmapped.size:
+            _, first = np.unique(fid[unmapped], return_index=True)
+            boundaries = np.sort(unmapped[first]).tolist()
+        else:
+            boundaries = []
+        prev = 0
+        n = int(t_all.size)
+        for b in boundaries + [n]:
+            if b > prev:
+                seg = slice(prev, b)
+                # Every initially unmapped file was placed at its first
+                # touch (a boundary), so the segment reads mapped files.
+                d_seg = mapping[fid[seg]]
+                _serve_segment(
+                    bank, d_seg, t_all[seg],
+                    sz_all[seg] / bank.rate_a[d_seg], starts[seg],
+                )
+                d_req[seg] = d_seg
+            if b == n:
+                break
+            f = int(fid[b])
+            if not is_write[b]:
+                raise SimulationError(
+                    f"read of unallocated file {f}; allocate it first"
+                )
+            t = float(t_all[b])
+            d = self._place(f, t)
+            starts[b] = bank.serve(d, t, float(self.sizes[f]) / bank.rate[d])
+            d_req[b] = d
+            prev = b + 1
+
+    def _serve_coupled(self, fid, t_all, is_write, starts, d_req, base_index):
+        """Shared-cache pass (writes optional).
+
+        Reads look the cache up at arrival and, on a miss, schedule an
+        admission at their completion time; the heap drains those
+        admissions in completion order between arrivals, reproducing the
+        event kernel's interleaving (hit short-circuit,
+        admit-on-miss-completion).  Ties (admission exactly at an arrival
+        instant) admit first; admissions at or after the horizon never
+        happen, exactly like the event kernel's URGENT stop pre-empting
+        completion events at ``T``.
+        """
+        heap = self.heap
+        obs = self.obs
+        obs_clock = self.obs_clock
+        map_l = self.map_l
+        size_l = self.size_l
+        lookup = self.cache.lookup
+        admit = self.cache.admit
+        serve = self.bank.serve
+        oh_l = self.bank.oh
+        rate_l = self.bank.rate
+        T = self.bank.T
+        fid_l = fid.tolist()
+        t_l = t_all.tolist()
+        w_l = is_write.tolist() if is_write is not None else None
+        for i in range(len(t_l)):
+            t = t_l[i]
+            f = fid_l[i]
+            # Inline (the per-arrival hot path) what :meth:`admit_pending`
+            # does at the horizon, with ties admitted first.
+            while heap and heap[0][0] <= t:
+                c_adm, _, hf, hs = heappop(heap)
+                if obs is not None:
+                    obs_clock[0] = c_adm
+                    obs.on_cache_event(c_adm, "admit", hf)
+                admit(hf, hs)
+            if w_l is not None and w_l[i]:
+                d = map_l[f]
+                if d < 0:
+                    d = self._place(f, t)
+                starts[i] = serve(d, t, size_l[f] / rate_l[d])
+                d_req[i] = d
+                continue
             size = size_l[f]
             if lookup(f, size):
                 if obs is not None:
@@ -1452,31 +878,37 @@ def _serve_coupled(
             c = s + oh_l[d] + tr
             if c < T:
                 heappush(heap, (c, base_index + i, f, size))
-    if flush:
-        while heap and heap[0][0] < T:
+
+    def admit_pending(self, limit: float) -> None:
+        """Admit every pending miss completion before ``limit``, in
+        completion order."""
+        heap = self.heap
+        admit = self.cache.admit
+        obs = self.obs
+        while heap and heap[0][0] < limit:
             c_adm, _, hf, hs = heappop(heap)
             if obs is not None:
-                obs_clock[0] = c_adm
+                self.obs_clock[0] = c_adm
                 obs.on_cache_event(c_adm, "admit", hf)
             admit(hf, hs)
+
 
 class _ControlledDriver:
     """Interval-segmented execution under a dynamic DPM policy, with all
     carry state threaded across chunk boundaries.
 
-    The monolithic controlled path is one :meth:`feed` of the whole stream
-    followed by :meth:`finish`; the chunked path feeds one chunk at a time.
-    Everything the interval loop needs to resume lives on the driver — the
-    cache-admission heap, the telemetry backlog (completions not yet
-    reported at a boundary), dispatched-but-waiting requests and the
-    controller's interval position — so splitting the stream at any point
-    is bit-identical to the single call:
+    The stream is segmented at control-interval boundaries and each
+    interval replays through the :class:`_Dispatch` paths against the
+    bank's per-interval threshold rows.  Everything the interval loop
+    needs to resume lives on the driver — the telemetry backlog
+    (completions not yet reported at a boundary), dispatched-but-waiting
+    requests and the controller's interval position — so splitting the
+    stream at any point is bit-identical to the single call:
 
-    * arrivals are processed one control interval at a time through
-      whichever of the grouped/segmented/coupled paths applies; an
-      interval whose arrivals span several chunks is served in several
-      sub-slices (the per-disk recursion carries exactly, and the coupled
-      pass's heap tie-break uses the *global* arrival index ``n_seen``);
+    * an interval whose arrivals span several :meth:`feed` calls is served
+      in several sub-slices (the per-disk recursion carries exactly, and
+      the coupled pass's heap tie-break uses the *global* arrival index
+      ``n_seen``);
     * an interval's boundary is processed only once an arrival at or past
       its ``t_end`` has been seen — a later chunk may still add arrivals
       to the open interval.  :meth:`finish` processes every remaining
@@ -1492,47 +924,28 @@ class _ControlledDriver:
     cleared *in place* — the serve loops hold bound ``append`` references)
     and per-disk queue depths of dispatched requests not yet in service,
     carried as ``(service start, disk)`` value arrays so no global
-    ``starts`` array is ever materialized.
+    ``starts`` array is ever materialized.  The shared
+    :class:`~repro.control.controller.ThresholdController` turns that
+    telemetry into the next threshold vector; the event engine's control
+    process consumes identical telemetry, so every registered DPM policy
+    simulates identically (~1e-9) on both engines.
     """
 
     __slots__ = (
-        "bank", "dpm", "policy", "mapping", "free", "sizes", "cache",
-        "hit_lat", "heap", "map_l", "size_l", "T", "ci", "oh_a", "rate_a",
+        "dispatch", "bank", "dpm", "hit_lat", "T", "ci",
         "pend_c", "pend_seq", "pend_r", "wait_s", "wait_d",
-        "n_seen", "k", "t_start", "finished", "obs", "obs_clock",
+        "n_seen", "k", "t_start", "finished",
     )
 
     def __init__(
-        self,
-        bank,
-        dpm,
-        policy: WritePlacementPolicy,
-        mapping: np.ndarray,
-        free: np.ndarray,
-        sizes: np.ndarray,
-        cache,
-        cache_hit_latency: float,
-        heap: Optional[list],
-        map_l: Optional[list],
-        size_l: Optional[list],
-        obs=None,
-        obs_clock: Optional[list] = None,
+        self, dispatch: _Dispatch, dpm, cache_hit_latency: float
     ) -> None:
-        self.bank = bank
+        self.dispatch = dispatch
+        self.bank = dispatch.bank
         self.dpm = dpm
-        self.policy = policy
-        self.mapping = mapping
-        self.free = free
-        self.sizes = sizes
-        self.cache = cache
         self.hit_lat = float(cache_hit_latency)
-        self.heap = heap if heap is not None else []
-        self.map_l = map_l
-        self.size_l = size_l
-        self.T = bank.T
+        self.T = self.bank.T
         self.ci = dpm.interval
-        self.oh_a = bank.oh_a
-        self.rate_a = bank.rate_a
         # Telemetry backlog: completions not yet reported at a boundary.
         self.pend_c: List[np.ndarray] = []
         self.pend_seq: List[np.ndarray] = []
@@ -1544,8 +957,6 @@ class _ControlledDriver:
         self.k = 0
         self.t_start = 0.0
         self.finished = False
-        self.obs = obs
-        self.obs_clock = obs_clock
 
     def _serve_slice(
         self,
@@ -1557,39 +968,14 @@ class _ControlledDriver:
         d_req: np.ndarray,
         lo: int,
         hi: int,
-        holds: Optional[np.ndarray] = None,
+        holds: Optional[np.ndarray],
     ) -> None:
-        bank = self.bank
         sl = slice(lo, hi)
-        if self.cache is not None:
-            _serve_coupled(
-                bank, self.policy, self.mapping, self.free, self.sizes,
-                fid[sl], t_all[sl],
-                None if is_write is None else is_write[sl],
-                self.cache, starts[sl], d_req[sl],
-                heap=self.heap, base_index=self.n_seen + lo, flush=False,
-                map_l=self.map_l, size_l=self.size_l,
-                obs=self.obs, obs_clock=self.obs_clock,
-            )
-        elif is_write is not None:
-            _serve_segmented(
-                bank, self.policy, self.mapping, self.free, self.sizes,
-                fid[sl], t_all[sl], sz_all[sl], is_write[sl],
-                starts[sl], d_req[sl], obs=self.obs,
-            )
-        else:
-            d_seg = self.mapping[fid[sl]]
-            bad = np.flatnonzero(d_seg < 0)
-            if bad.size:
-                raise SimulationError(
-                    f"read of unallocated file {int(fid[lo + bad[0]])}; "
-                    "allocate it first"
-                )
-            _serve_segment(
-                bank, d_seg, t_all[sl], sz_all[sl] / self.rate_a[d_seg],
-                starts[sl],
-            )
-            d_req[sl] = d_seg
+        d_req[sl] = self.dispatch.serve(
+            fid[sl], t_all[sl], sz_all[sl],
+            None if is_write is None else is_write[sl],
+            starts[sl], self.n_seen + lo,
+        )
         # Queue newly served requests' completions for the telemetry feed
         # (cache hits complete at their arrival instant; requests censored
         # at the horizon never complete, like the event engine's cutoff
@@ -1599,8 +985,8 @@ class _ControlledDriver:
         # Per-disk overheads/rates: resolve against disk 0 for unserved
         # (hit) slots — the value is discarded by the where() below.
         d_safe = np.where(served, d_sl, 0)
-        oh_sl = self.oh_a[d_safe]
-        tr_sl = sz_all[sl] / self.rate_a[d_safe]
+        oh_sl = self.bank.oh_a[d_safe]
+        tr_sl = sz_all[sl] / self.bank.rate_a[d_safe]
         c_sl = np.where(served, starts[sl] + oh_sl + tr_sl, t_all[sl])
         r_sl = np.where(served, c_sl - t_all[sl], self.hit_lat)
         if holds is not None:
@@ -1660,8 +1046,8 @@ class _ControlledDriver:
                 self.t_start, t_end, responses, gaps, queue_depth
             )
             bank.push_thresholds(new_th)
-            if self.obs is not None:
-                self.obs.on_thresholds(t_end, new_th)
+            if self.dispatch.obs is not None:
+                self.dispatch.obs.on_thresholds(t_end, new_th)
             self.t_start = t_end
             self.k += 1
 
@@ -1673,8 +1059,10 @@ class _ControlledDriver:
         is_write: Optional[np.ndarray],
         starts: np.ndarray,
         d_req: np.ndarray,
+        holds: Optional[np.ndarray] = None,
     ) -> None:
-        """Serve one chunk of live (pre-censored, time-sorted) arrivals."""
+        """Serve one batch of live (pre-censored, time-sorted) arrivals;
+        ``holds`` (scheduled runs) rides on top of each response."""
         n = int(t_all.size)
         lo = 0
         while lo < n:
@@ -1682,7 +1070,8 @@ class _ControlledDriver:
             hi = int(np.searchsorted(t_all, t_end, side="left"))
             if hi > lo:
                 self._serve_slice(
-                    fid, t_all, sz_all, is_write, starts, d_req, lo, hi
+                    fid, t_all, sz_all, is_write, starts, d_req, lo, hi,
+                    holds,
                 )
             if hi == n:
                 # Chunk exhausted mid-interval: a later chunk may still add
@@ -1772,94 +1161,53 @@ class _SpanBinner:
 
 
 def _flush_bank_spans(
-    binner: Optional[_SpanBinner], bank, is_ladder: bool, obs=None
+    binner: Optional[_SpanBinner], bank: _Bank, obs=None, classic=False
 ) -> None:
     """Drain a bank's logged transition spans and clear them in place
     (the serve loops hold bound references): fold them into the binner
     (controlled runs), emit them to an observer (clipped at the horizon,
-    like every accounting path), or both.  Called between chunks and once
-    at the end of the run, so span-log memory stays bounded by the chunk
-    size and observer emission order is deterministic for any chunking.
+    like every accounting path), both, or neither (then only the tail
+    pass's few spans were logged).  Called between chunks
+    and once at the end of the run, so span-log memory stays bounded by
+    the chunk size and observer emission order is deterministic for any
+    chunking.  ``classic`` names a ladder-less run's spans by their
+    :class:`DiskState` (``spindown``, ``spinup``, ``standby``).
     """
     T = bank.T
-    if is_ladder:
-        for i in range(1, bank.maxR):
-            for prefix, spans in (
-                ("park", bank.park_spans[i]),
-                ("down", bank.down_spans[i]),
-                ("wake", bank.wake_spans[i]),
-            ):
-                if binner is not None:
-                    binner.add_entries((prefix, i), spans)
-                if obs is not None:
-                    for d, s, e in spans:
-                        if s >= T:
-                            continue
-                        name = bank.ladders[d].rungs[i].name
-                        if prefix != "park":
-                            name = f"{prefix}:{name}"
-                        obs.on_state_span(int(d), name, s, e if e < T else T)
-                spans.clear()
-    else:
-        for key, name, spans in (
-            ("sd", "spindown", bank.sd_spans),
-            ("su", "spinup", bank.su_spans),
-            ("sb", "standby", bank.sb_spans),
+    for i in range(1, bank.maxR):
+        for prefix, spans in (
+            ("down", bank.down_spans[i]),
+            ("wake", bank.wake_spans[i]),
+            ("park", bank.park_spans[i]),
         ):
             if binner is not None:
-                binner.add_entries(key, spans)
+                binner.add_entries((prefix, i), spans)
             if obs is not None:
                 for d, s, e in spans:
-                    if s < T:
-                        obs.on_state_span(int(d), name, s, e if e < T else T)
+                    if s >= T:
+                        continue
+                    name = bank.rungs[d][i].name
+                    if prefix != "park":
+                        name = f"{prefix}:{name}"
+                    if classic:
+                        name = _CLASSIC_STATES[name].value
+                    obs.on_state_span(int(d), name, s, e if e < T else T)
             spans.clear()
 
 
-def _power_from_binner(binner: _SpanBinner, specs) -> np.ndarray:
+def _power_from_binner(binner: _SpanBinner, bank: _Bank, specs) -> np.ndarray:
     """Per-interval per-disk mean power from the binned state overlaps.
 
     The event engine diffs live drive energies at each boundary; this
     reconstructs the same physical quantity from the run's state spans
-    (seek/active per request, logged spin transitions, idle as the window
-    residual), so the two traces agree to float-accumulation noise.
-    State powers are per-disk row vectors — on a mixed fleet every disk
-    column is weighted by its own spec's draw.
-    """
-    models = [PowerModel(s) for s in specs]
-
-    def p(state):
-        return np.array([m.power(state) for m in models], dtype=float)
-
-    windows = np.diff(binner.edges)
-    seek = binner.get("seek")
-    active = binner.get("active")
-    spindown = binner.get("sd")
-    spinup = binner.get("su")
-    standby = binner.get("sb")
-    idle = np.clip(
-        windows[:, None] - (seek + active + spindown + spinup + standby),
-        0.0,
-        None,
-    )
-    energy = (
-        p(DiskState.SEEK)[None, :] * seek
-        + p(DiskState.ACTIVE)[None, :] * active
-        + p(DiskState.SPINDOWN)[None, :] * spindown
-        + p(DiskState.SPINUP)[None, :] * spinup
-        + p(DiskState.STANDBY)[None, :] * standby
-        + p(DiskState.IDLE)[None, :] * idle
-    )
-    return energy / windows[:, None]
-
-
-def _ladder_power_from_binner(
-    binner: _SpanBinner, ladders, specs
-) -> np.ndarray:
-    """Ladder analogue of :func:`_power_from_binner`: park/descent/wake
-    overlaps per rung, rung-0 park as the window residual.  Rung powers
-    are per-disk row vectors (each disk bills its own ladder); a disk
-    whose ladder is shallower than rung ``i`` has zero overlap in that
-    column, so its placeholder power never contributes.
+    (seek/active per request, logged descents, wakes and parks per rung,
+    rung 0 as the window residual), so the two traces agree to
+    float-accumulation noise.  Powers are per-disk row vectors — on a
+    mixed fleet every disk column is weighted by its own spec and rung
+    table; a disk whose table is shallower than rung ``i`` has zero
+    overlap in that column, so its placeholder power never contributes.
+    The per-rung terms add in descent, wake, park order, so a two-rung
+    table sums exactly like the classic spin-down, spin-up, standby trace.
     """
     windows = np.diff(binner.edges)
     seek = binner.get("seek")
@@ -1868,31 +1216,29 @@ def _ladder_power_from_binner(
     seek_p = np.array([s.seek_power for s in specs], dtype=float)
     active_p = np.array([s.active_power for s in specs], dtype=float)
     energy = seek_p[None, :] * seek + active_p[None, :] * active
-    max_r = max(len(l.rungs) for l in ladders)
 
     def rung_p(i, attr):
         return np.array(
             [
-                getattr(l.rungs[i], attr) if i < len(l.rungs) else 0.0
-                for l in ladders
+                getattr(rungs[i], attr) if i < len(rungs) else 0.0
+                for rungs in bank.rungs
             ],
             dtype=float,
         )
 
-    for i in range(1, max_r):
-        park = binner.get(("park", i))
+    for i in range(1, bank.maxR):
         down = binner.get(("down", i))
         wake = binner.get(("wake", i))
-        occupied = occupied + park + down + wake
+        park = binner.get(("park", i))
+        occupied = occupied + down + wake + park
         energy = (
             energy
-            + rung_p(i, "power")[None, :] * park
             + rung_p(i, "down_power")[None, :] * down
             + rung_p(i, "wake_power")[None, :] * wake
+            + rung_p(i, "power")[None, :] * park
         )
     idle = np.clip(windows[:, None] - occupied, 0.0, None)
-    p0 = np.array([l.rungs[0].power for l in ladders], dtype=float)
-    energy = energy + p0[None, :] * idle
+    energy = energy + rung_p(0, "power")[None, :] * idle
     return energy / windows[:, None]
 
 
@@ -1933,10 +1279,9 @@ def simulate_fast(
     static policy, which :meth:`StorageConfig.dpm_controller` maps to
     ``None``) keeps the fixed-threshold paths byte-identical to the
     pre-control kernel.  ``ladder`` is an optional
-    :class:`~repro.disk.dpm.DpmLadder`: the run replays through the
-    per-rung :class:`_LadderBank` recursion (or
-    :class:`_ControlledLadderBank` under a dynamic policy, with
-    ``threshold``/the controller vector scaling the descent schedule),
+    :class:`~repro.disk.dpm.DpmLadder` (or one per disk): the bank runs
+    its rungs instead of each spec's two-rung idle/standby table, with
+    ``threshold`` or the controller vector scaling the descent schedule,
     and ``state_durations`` is keyed by the ladder's timeline labels
     instead of :class:`DiskState`.  ``metrics_mode="streaming"`` skips the
     per-request response array: the result carries a bounded
@@ -1957,10 +1302,11 @@ def simulate_fast(
     spin/ladder transition spans, cache events, controller threshold
     pushes and placement choices are emitted in simulated time
     (transition-level granularity — per-request seek/active spans would
-    defeat the batching; the event engine emits those).  A disabled or
-    ``None`` observer leaves every hot path untouched, and an enabled
-    one never changes the result (the differential harness's observer
-    axis asserts bit-identity).
+    defeat the batching; the event engine emits those).  The bank logs
+    transition spans only when an observer or a controller reads them,
+    and logging never touches the arithmetic, so an observer never
+    changes the result (the differential harness's observer axis asserts
+    bit-identity).
 
     ``scheduler`` is an optional *reset* (or fresh)
     :class:`~repro.system.scheduling.RequestScheduler`: each arrival is
@@ -2124,7 +1470,7 @@ def _simulate_chunks(
         ladders = ladder
         th_in = threshold
         homogeneous = True
-    has_ladder = ladders is not None
+    classic = ladders is None
     if usable_capacity is None:
         usable = (
             specs[0].capacity
@@ -2143,65 +1489,35 @@ def _simulate_chunks(
     streaming = metrics_mode == "streaming"
     obs = active_observer(observer)
 
-    # Cache plumbing shared by every chunk: one heap of pending admissions
-    # and one list materialization of the (large) per-file arrays
-    # (``map_l`` is kept in sync with ``mapping`` on every allocation).
-    heap: Optional[list] = [] if cache is not None else None
-    map_l = mapping.tolist() if cache is not None else None
-    size_l = sizes.tolist() if cache is not None else None
-
-    # Evictions happen inside ``cache.admit``, which has no notion of
-    # simulated time — the serve loops keep ``obs_clock`` at the current
-    # admission/arrival instant so the evict hook can timestamp them.
-    obs_clock: Optional[list] = None
-    if obs is not None and cache is not None:
-        obs_clock = [0.0]
-        cache.evict_hook = lambda f: obs.on_cache_event(
-            obs_clock[0], "evict", f
+    if dpm is not None and dpm.num_disks != num_disks:
+        raise ConfigError(
+            f"controller sized for {dpm.num_disks} disks but the pool "
+            f"has {num_disks}"
         )
-
-    driver: Optional[_ControlledDriver] = None
-    binner: Optional[_SpanBinner] = None
-    if dpm is not None:
-        if dpm.num_disks != num_disks:
-            raise ConfigError(
-                f"controller sized for {dpm.num_disks} disks but the pool "
-                f"has {num_disks}"
-            )
-        if has_ladder:
-            bank = _ControlledLadderBank(
-                num_disks, dpm.thresholds, ladders, specs, T, dpm.interval
-            )
-        else:
-            bank = _ControlledBank(
-                num_disks, dpm.thresholds, specs, T, dpm.interval
-            )
-        driver = _ControlledDriver(
-            bank, dpm, policy, mapping, free, sizes, cache,
-            cache_hit_latency, heap, map_l, size_l,
-            obs=obs, obs_clock=obs_clock,
-        )
-        binner = _SpanBinner(_interval_edges(dpm.interval, T), num_disks)
-    elif has_ladder:
-        bank = (
-            _ObservedLadderBank(num_disks, th_in, ladders, specs, T)
-            if obs is not None
-            else _LadderBank(num_disks, th_in, ladders, specs, T)
-        )
-    else:
-        bank = (
-            _ObservedDiskBank(num_disks, th_in, specs, T)
-            if obs is not None
-            else _DiskBank(num_disks, th_in, specs, T)
-        )
+    bank = _Bank(
+        num_disks,
+        th_in if dpm is None else dpm.thresholds,
+        specs,
+        T,
+        ladder=ladders,
+        interval=None if dpm is None else dpm.interval,
+        log_spans=dpm is not None or obs is not None,
+    )
     # The per-disk byte budget the placement context exposes (same values
     # the event dispatcher hands its policies).
     bank.cap = per_disk_capacities(usable, num_disks)
+    dispatch = _Dispatch(bank, policy, mapping, free, sizes, cache, obs)
+    driver: Optional[_ControlledDriver] = None
+    binner: Optional[_SpanBinner] = None
+    if dpm is not None:
+        driver = _ControlledDriver(dispatch, dpm, cache_hit_latency)
+        binner = _SpanBinner(_interval_edges(dpm.interval, T), num_disks)
 
     # Persistent accumulators (fixed size in the pool, not the stream).
     seek_time = np.zeros(num_disks, dtype=float)
     active_time = np.zeros(num_disks, dtype=float)
     req_count = np.zeros(num_disks, dtype=np.int64)
+    hit_lat = float(cache_hit_latency)
     arrivals = 0
     hits = 0
     acc = ResponseAccumulator() if streaming else None
@@ -2218,281 +1534,196 @@ def _simulate_chunks(
     # engine's drive_scheduled_stream produces.  Pending releases ride a heap
     # across interval and chunk boundaries; recorded responses measure from
     # the original arrival (the hold rides on top of the post-release
-    # response).  scheduler=None takes the historical unscheduled paths,
-    # byte-identical to the pre-scheduler kernel.
+    # response).  scheduler=None serves each chunk as it arrives.
     sched_pending: List[tuple] = []  # (release, seq, fid, is_write, hold)
     sched_seq = 0
-    if scheduler is not None:
 
-        def _schedule(fid_l, t_l, w_l, lo, hi, est) -> None:
-            """Assign releases to arrivals [lo, hi) (one open interval)."""
-            nonlocal sched_seq
-            rel = scheduler.release
-            for i in range(lo, hi):
-                t_i = t_l[i]
-                f_i = fid_l[i]
-                w_i = False if w_l is None else w_l[i]
-                r = rel(t_i, f_i, WRITE if w_i else READ, slo_estimate=est)
-                if r < T:
-                    # A release at or past the horizon never submits (the
-                    # event engine's URGENT stop pre-empts it) — censored,
-                    # neither an arrival nor a completion.
-                    heappush(sched_pending, (r, sched_seq, f_i, w_i, r - t_i))
-                sched_seq += 1
+    def _schedule(fid_l, t_l, w_l, lo, hi, est) -> None:
+        """Assign releases to arrivals [lo, hi) (one open interval)."""
+        nonlocal sched_seq
+        rel = scheduler.release
+        for i in range(lo, hi):
+            t_i = t_l[i]
+            f_i = fid_l[i]
+            w_i = False if w_l is None else w_l[i]
+            r = rel(t_i, f_i, WRITE if w_i else READ, slo_estimate=est)
+            if r < T:
+                # A release at or past the horizon never submits (the
+                # event engine's URGENT stop pre-empts it) — censored,
+                # neither an arrival nor a completion.
+                heappush(sched_pending, (r, sched_seq, f_i, w_i, r - t_i))
+            sched_seq += 1
 
-        def _consume(fid_c, t_c, sz_c, w_c, holds_c) -> None:
-            """Serve one (release, seq)-ordered batch of released requests
-            through whichever path applies and fold it into the persistent
-            accumulators — the scheduled analogue of the per-chunk body."""
-            nonlocal arrivals, hits, req_count
-            n_c = int(t_c.size)
-            starts_c = np.empty(n_c, dtype=float)
-            d_req_c = np.empty(n_c, dtype=np.int64)
-            if driver is not None:
-                driver._serve_slice(
-                    fid_c, t_c, sz_c, w_c, starts_c, d_req_c, 0, n_c,
-                    holds=holds_c,
-                )
-                driver.n_seen += n_c
-            elif cache is not None:
-                _serve_coupled(
-                    bank, policy, mapping, free, sizes, fid_c, t_c, w_c,
-                    cache, starts_c, d_req_c, heap=heap, base_index=arrivals,
-                    flush=False, map_l=map_l, size_l=size_l,
-                    obs=obs, obs_clock=obs_clock,
-                )
-            elif w_c is not None:
-                _serve_segmented(
-                    bank, policy, mapping, free, sizes, fid_c, t_c, sz_c,
-                    w_c, starts_c, d_req_c, obs=obs,
-                )
-            else:
-                disk_c = mapping[fid_c]
-                if n_c and int(disk_c.min()) < 0:
-                    bad_f = int(fid_c[int(np.argmin(disk_c))])
-                    raise SimulationError(
-                        f"read of unallocated file {bad_f}; allocate it first"
-                    )
-                _serve_segment(
-                    bank, disk_c, t_c, sz_c / bank.rate_a[disk_c], starts_c
-                )
-                d_req_c = disk_c
-            served_c = d_req_c >= 0
-            n_hits = n_c - int(served_c.sum())
-            if n_hits:
-                d_s = d_req_c[served_c]
-                s_s = starts_c[served_c]
-                sz_s = sz_c[served_c]
-                t_s = t_c[served_c]
-                h_s = holds_c[served_c]
-            else:
-                d_s, s_s, sz_s, t_s, h_s = (
-                    d_req_c, starts_c, sz_c, t_c, holds_c
-                )
-            oh_s = bank.oh_a[d_s]
-            tr_s = sz_s / bank.rate_a[d_s]
-            np.add.at(seek_time, d_s, np.clip(T - s_s, 0.0, oh_s))
-            np.add.at(active_time, d_s, np.clip(T - (s_s + oh_s), 0.0, tr_s))
-            req_count += np.bincount(d_s, minlength=num_disks)
-            if binner is not None:
-                binner.add("seek", d_s, s_s, s_s + oh_s)
-                binner.add("active", d_s, s_s + oh_s, s_s + oh_s + tr_s)
-            completion = s_s + oh_s + tr_s
-            done = completion < T
-            if streaming:
-                vals = np.empty(n_c, dtype=float)
-                ok = np.ones(n_c, dtype=bool)
-                vals[served_c] = (completion - t_s) + h_s
-                ok[served_c] = done
-                if n_hits:
-                    vals[~served_c] = (
-                        float(cache_hit_latency) + holds_c[~served_c]
-                    )
-                acc.add(vals[ok])
-            else:
-                resp_c_parts.append(completion[done])
-                resp_v_parts.append((completion[done] - t_s[done]) + h_s[done])
-                if n_hits:
-                    hit_t_parts.append(t_c[~served_c])
-                    hit_v_parts.append(
-                        float(cache_hit_latency) + holds_c[~served_c]
-                    )
-            arrivals += n_c
-            hits += n_hits
-
-        def _flush(limit: float, inclusive: bool) -> None:
-            """Pop pending releases up to ``limit`` — in (release, seq)
-            order — and serve them as one batch."""
-            if not sched_pending:
-                return
-            rel_l: List[float] = []
-            fid_fl: List[int] = []
-            w_fl: List[bool] = []
-            h_fl: List[float] = []
-            while sched_pending:
-                r0 = sched_pending[0][0]
-                if (r0 > limit) if inclusive else (r0 >= limit):
-                    break
-                r0, _, f0, w0, h0 = heappop(sched_pending)
-                rel_l.append(r0)
-                fid_fl.append(f0)
-                w_fl.append(w0)
-                h_fl.append(h0)
-            if not rel_l:
-                return
-            fid_c = np.asarray(fid_fl, dtype=np.int64)
-            w_arr = np.asarray(w_fl, dtype=bool)
-            _consume(
-                fid_c,
-                np.asarray(rel_l, dtype=float),
-                sizes[fid_c],
-                w_arr if w_arr.any() else None,
-                np.asarray(h_fl, dtype=float),
-            )
-
-    prev_last: Optional[float] = None
-    for chunk in chunks:
-        t_all = np.asarray(chunk.times, dtype=float)
-        n = int(t_all.size)
-        if not n:
-            continue
-        # Every path relies on time-sorted arrivals (stable per-disk
-        # grouping, the global merge); the event engine's drive_stream
-        # raises on out-of-order times, so match it rather than silently
-        # reordering — within each chunk and across chunk boundaries.
-        if n > 1 and bool(np.any(np.diff(t_all) < 0)):
-            bad = int(np.argmax(np.diff(t_all) < 0)) + 1
-            raise SimulationError(
-                "request stream times must be non-decreasing: got "
-                f"{t_all[bad]} after {t_all[bad - 1]}"
-            )
-        if prev_last is not None and t_all[0] < prev_last:
-            raise SimulationError(
-                "chunked stream is not globally time-sorted: a chunk starts "
-                f"at {t_all[0]} but the previous chunk ended at {prev_last}"
-            )
-        prev_last = float(t_all[-1])
-        # The event kernel's cutoff is strict: the URGENT stop event at T
-        # pre-empts arrival and completion events scheduled at exactly T.
-        censored = bool(t_all[-1] >= T)
-        if censored:
-            cut = int(np.searchsorted(t_all, T, side="left"))
-            if not cut:
+    def _released(limit: float, inclusive: bool) -> Optional[tuple]:
+        """Pop pending releases up to ``limit`` — in (release, seq) order —
+        as one batch (``None`` if there are none)."""
+        rel_l: List[float] = []
+        fid_fl: List[int] = []
+        w_fl: List[bool] = []
+        h_fl: List[float] = []
+        while sched_pending:
+            r0 = sched_pending[0][0]
+            if (r0 > limit) if inclusive else (r0 >= limit):
                 break
-            t_all = t_all[:cut]
-            n = cut
-        fid = np.asarray(chunk.file_ids, dtype=np.int64)[:n]
-        kinds = getattr(chunk, "kinds", None)
-        is_write: Optional[np.ndarray] = None
-        if kinds is not None:
-            w = np.asarray(kinds)[:n] == WRITE
-            if w.any():
-                is_write = w
-        if scheduler is not None:
-            if arrivals and (driver is not None or obs is not None):
-                # Bounded memory for the banks' span logs, exactly like the
-                # unscheduled per-chunk folds below.
-                _flush_bank_spans(
-                    binner if driver is not None else None,
-                    bank, has_ladder, obs,
+            r0, _, f0, w0, h0 = heappop(sched_pending)
+            rel_l.append(r0)
+            fid_fl.append(f0)
+            w_fl.append(w0)
+            h_fl.append(h0)
+        if not rel_l:
+            return None
+        w_arr = np.asarray(w_fl, dtype=bool)
+        return (
+            np.asarray(fid_fl, dtype=np.int64),
+            np.asarray(rel_l, dtype=float),
+            w_arr if w_arr.any() else None,
+            np.asarray(h_fl, dtype=float),
+        )
+
+    def _batches():
+        """Yield ``(file ids, times, is_write, holds)`` batches in
+        submission order: each chunk as it arrives (``holds`` ``None``),
+        or each run of scheduled releases, interleaved with the control
+        boundaries they straddle.  Resumes only once the previous batch
+        is served, so boundaries see every earlier completion."""
+        prev_last: Optional[float] = None
+        for chunk in chunks:
+            t_all = np.asarray(chunk.times, dtype=float)
+            n = int(t_all.size)
+            if not n:
+                continue
+            # Every path relies on time-sorted arrivals (stable per-disk
+            # grouping, the global merge); the event engine's drive_stream
+            # raises on out-of-order times, so match it rather than
+            # silently reordering — within each chunk and across chunk
+            # boundaries.
+            if n > 1 and bool(np.any(np.diff(t_all) < 0)):
+                bad = int(np.argmax(np.diff(t_all) < 0)) + 1
+                raise SimulationError(
+                    "request stream times must be non-decreasing: got "
+                    f"{t_all[bad]} after {t_all[bad - 1]}"
                 )
-            t_l = t_all.tolist()
-            fid_list = fid.tolist()
-            w_l = is_write.tolist() if is_write is not None else None
-            if driver is not None:
-                # Interval-segmented: arrivals in one control interval all
-                # read the same slo_estimate, and a boundary is processed —
-                # with every release strictly before it flushed first — as
-                # soon as an arrival at or past it is seen.
-                ci = driver.ci
-                pos = 0
-                while pos < n:
-                    t_edge = min((driver.k + 1) * ci, T)
-                    hi = int(np.searchsorted(t_all, t_edge, side="left"))
-                    if hi > pos:
-                        _schedule(
-                            fid_list, t_l, w_l, pos, hi, dpm.slo_estimate
-                        )
-                    if hi == n:
-                        # Chunk exhausted mid-interval: a later chunk may
-                        # still add arrivals before t_edge, so the boundary
-                        # stays open.
-                        break
-                    _flush(t_edge, False)
-                    driver._boundary(t_edge, t_edge >= T)
-                    pos = hi
-            else:
-                _schedule(fid_list, t_l, w_l, 0, n, None)
-            # Releases at or before the chunk's last arrival are final:
-            # every future arrival (hence every future release) is at or
-            # after it, and at a tie the smaller arrival seq flushes first
-            # either way — so the global submission order is invariant to
-            # the chunk partition.
-            _flush(float(t_all[-1]), True)
+            if prev_last is not None and t_all[0] < prev_last:
+                raise SimulationError(
+                    "chunked stream is not globally time-sorted: a chunk "
+                    f"starts at {t_all[0]} but the previous chunk ended at "
+                    f"{prev_last}"
+                )
+            prev_last = float(t_all[-1])
+            # The event kernel's cutoff is strict: the URGENT stop event at
+            # T pre-empts arrival and completion events scheduled at
+            # exactly T.
+            censored = bool(t_all[-1] >= T)
             if censored:
-                break
-            continue
-
-        sz_all = sizes[fid]
-        starts = np.empty(n, dtype=float)
-        d_req = np.empty(n, dtype=np.int64)
-
-        if arrivals and driver is None and obs is not None:
-            # Bounded memory for the observed banks' span logs on the
-            # fixed-threshold paths (the controlled path folds below;
-            # emission order is chunking-invariant either way because
-            # spans are only ever appended in simulation order).
-            _flush_bank_spans(None, bank, has_ladder, obs)
-        if driver is not None:
+                cut = int(np.searchsorted(t_all, T, side="left"))
+                if not cut:
+                    break
+                t_all = t_all[:cut]
+                n = cut
+            fid = np.asarray(chunk.file_ids, dtype=np.int64)[:n]
+            kinds = getattr(chunk, "kinds", None)
+            is_write: Optional[np.ndarray] = None
+            if kinds is not None:
+                w = np.asarray(kinds)[:n] == WRITE
+                if w.any():
+                    is_write = w
             if arrivals:
                 # Bounded memory: fold the spans logged so far before the
-                # next chunk grows the logs.  A single-chunk run never gets
-                # here and takes the one-shot fold at the end, staying
-                # bit-exact with the historical monolithic binning.
-                _flush_bank_spans(binner, bank, has_ladder, obs)
-            driver.feed(fid, t_all, sz_all, is_write, starts, d_req)
-        elif cache is not None:
-            _serve_coupled(
-                bank, policy, mapping, free, sizes, fid, t_all,
-                is_write, cache, starts, d_req,
-                heap=heap, base_index=arrivals, flush=False,
-                map_l=map_l, size_l=size_l,
-                obs=obs, obs_clock=obs_clock,
+                # next chunk grows the logs (emission order is
+                # chunking-invariant because spans are only ever appended
+                # in simulation order).  A single-chunk run never gets here
+                # and takes the one-shot fold at the end, staying bit-exact
+                # with one-shot binning.
+                _flush_bank_spans(binner, bank, obs, classic)
+            if scheduler is None:
+                yield fid, t_all, is_write, None
+            else:
+                t_l = t_all.tolist()
+                fid_list = fid.tolist()
+                w_l = is_write.tolist() if is_write is not None else None
+                if driver is not None:
+                    # Interval-segmented: arrivals in one control interval
+                    # all read the same slo_estimate, and a boundary is
+                    # processed — with every release strictly before it
+                    # served first — as soon as an arrival at or past it is
+                    # seen.
+                    pos = 0
+                    while pos < n:
+                        t_edge = min((driver.k + 1) * driver.ci, T)
+                        hi = int(np.searchsorted(t_all, t_edge, side="left"))
+                        if hi > pos:
+                            _schedule(
+                                fid_list, t_l, w_l, pos, hi, dpm.slo_estimate
+                            )
+                        if hi == n:
+                            # Chunk exhausted mid-interval: a later chunk
+                            # may still add arrivals before t_edge, so the
+                            # boundary stays open.
+                            break
+                        batch = _released(t_edge, False)
+                        if batch is not None:
+                            yield batch
+                        driver._boundary(t_edge, t_edge >= T)
+                        pos = hi
+                else:
+                    _schedule(fid_list, t_l, w_l, 0, n, None)
+                # Releases at or before the chunk's last arrival are final:
+                # every future arrival (hence every future release) is at or
+                # after it, and at a tie the smaller arrival seq is served
+                # first either way — so the global submission order is
+                # invariant to the chunk partition.
+                batch = _released(float(t_all[-1]), True)
+                if batch is not None:
+                    yield batch
+            if censored:
+                # Chunks are globally sorted, so everything after this
+                # chunk's cut is at or past the horizon — censored, like
+                # the event engine's URGENT stop discarding queued arrivals.
+                break
+        # Requests still held past the last arrival: interleave the
+        # remaining releases (all < T) with the control boundaries they
+        # straddle — a release exactly on a boundary submits after it.
+        while sched_pending:
+            if driver is not None:
+                driver.drain_to(sched_pending[0][0])
+            batch = _released(
+                T if driver is None else min((driver.k + 1) * driver.ci, T),
+                False,
             )
-        elif is_write is not None:
-            _serve_segmented(
-                bank, policy, mapping, free, sizes, fid, t_all, sz_all,
-                is_write, starts, d_req, obs=obs,
-            )
-        else:
-            disk = mapping[fid]
-            if n and int(disk.min()) < 0:
-                bad_f = int(fid[int(np.argmin(disk))])
-                raise SimulationError(
-                    f"read of unallocated file {bad_f}; allocate it first"
-                )
-            _serve_segment(
-                bank, disk, t_all, sz_all / bank.rate_a[disk], starts
-            )
-            d_req = disk
+            if batch is not None:
+                yield batch
 
-        # -- per-chunk accounting into the persistent accumulators ------------
+    # Serve and account each batch through the driver (under control) or
+    # the dispatch.  The body is inline, not a function, so the batch
+    # arrays stay alive until the next batch rebinds them: freed before the
+    # end-of-run response assembly, their heap space takes that assembly
+    # and the allocator returns the heap top to the system, so every later
+    # run in the same process has to fault those pages back in.
+    for fid_c, t_c, w_c, holds_c in _batches():
+        n_c = int(t_c.size)
+        sz_c = sizes[fid_c]
+        starts = np.empty(n_c, dtype=float)
+        if driver is not None:
+            d_req = np.empty(n_c, dtype=np.int64)
+            driver.feed(fid_c, t_c, sz_c, w_c, starts, d_req, holds_c)
+        else:
+            d_req = dispatch.serve(fid_c, t_c, sz_c, w_c, starts, arrivals)
         served = d_req >= 0
-        n_hits = n - int(served.sum())
+        n_hits = n_c - int(served.sum())
         if n_hits:
             d_s = d_req[served]
             s_s = starts[served]
-            sz_s = sz_all[served]
-            t_s = t_all[served]
+            sz_s = sz_c[served]
+            t_s = t_c[served]
         else:
-            d_s, s_s, sz_s, t_s = d_req, starts, sz_all, t_all
+            d_s, s_s, sz_s, t_s = d_req, starts, sz_c, t_c
         # Per-request overhead/transfer resolved against the serving
         # disk's own spec (identical to the uniform scalars on a
         # homogeneous pool).
         oh_s = bank.oh_a[d_s]
         tr_s = sz_s / bank.rate_a[d_s]
         # Service accounting truncated at the horizon; the serial scatter-
-        # add continues np.bincount's reduction exactly across chunks.
+        # add continues np.bincount's reduction exactly across batches.
         np.add.at(seek_time, d_s, np.clip(T - s_s, 0.0, oh_s))
         np.add.at(active_time, d_s, np.clip(T - (s_s + oh_s), 0.0, tr_s))
         req_count += np.bincount(d_s, minlength=num_disks)
@@ -2501,86 +1732,55 @@ def _simulate_chunks(
             binner.add("active", d_s, s_s + oh_s, s_s + oh_s + tr_s)
         completion = s_s + oh_s + tr_s
         done = completion < T
+        # Scheduled runs measure responses from the original arrival: the
+        # hold rides on top of the post-release response.
+        h_s = None
+        hit_v = hit_lat
+        if holds_c is not None:
+            h_s = holds_c[served] if n_hits else holds_c
+            hit_v = hit_lat + holds_c[~served]
         if streaming:
             # Feed responses in arrival order (served completions where
             # they complete before T, hits at the hit latency) — the same
-            # per-chunk formula for every partition, so the accumulator's
+            # per-batch formula for every partition, so the accumulator's
             # serial reductions are partition-invariant.
-            vals = np.empty(n, dtype=float)
-            ok = np.ones(n, dtype=bool)
-            vals[served] = completion - t_s
+            vals = np.empty(n_c, dtype=float)
+            ok = np.ones(n_c, dtype=bool)
+            vals[served] = completion - t_s if h_s is None else (
+                (completion - t_s) + h_s
+            )
             ok[served] = done
             if n_hits:
-                vals[~served] = float(cache_hit_latency)
+                vals[~served] = hit_v
             acc.add(vals[ok])
         else:
-            resp_c_parts.append(completion[done])
-            resp_v_parts.append(completion[done] - t_s[done])
+            c_done = completion[done]
+            resp = c_done - t_s[done]
+            if h_s is not None:
+                resp += h_s[done]
+            resp_c_parts.append(c_done)
+            resp_v_parts.append(resp)
             if n_hits:
-                hit_t_parts.append(t_all[~served])
-        arrivals += n
+                hit_t_parts.append(t_c[~served])
+                hit_v_parts.append(np.full(n_hits, hit_v))
+        arrivals += n_c
         hits += n_hits
-        if censored:
-            # Chunks are globally sorted, so everything after this chunk's
-            # cut is at or past the horizon — censored, like the event
-            # engine's URGENT stop discarding queued arrivals.
-            break
-
-    if scheduler is not None and sched_pending:
-        # Requests still held past the last arrival: interleave the
-        # remaining releases (all < T) with the control boundaries they
-        # straddle — a release exactly on a boundary submits after it.
-        if driver is not None:
-            ci = driver.ci
-            while sched_pending:
-                driver.drain_to(sched_pending[0][0])
-                _flush(min((driver.k + 1) * ci, T), False)
-        else:
-            _flush(T, False)
     if driver is not None:
         driver.finish()
     if cache is not None:
         # Admissions pending at the horizon never happen (the event
         # kernel's stop event pre-empts completions at T).
-        admit = cache.admit
-        while heap and heap[0][0] < T:
-            c_adm, _, hf, hs = heappop(heap)
-            if obs is not None:
-                obs_clock[0] = c_adm
-                obs.on_cache_event(c_adm, "admit", hf)
-            admit(hf, hs)
+        dispatch.admit_pending(T)
         if obs is not None:
             cache.evict_hook = None
 
     # -- vectorized accounting over the banked state ---------------------------
 
-    # Spin accounting with trailing idleness applied (a disk whose
-    # post-drain gap outlasts its threshold spins down — or descends the
-    # ladder — before the horizon).
-    if has_ladder:
-        spinups, spindowns = bank.apply_tail()
-    else:
-        spindown_time, spinup_time, standby_time, spinups, spindowns = (
-            bank.tail_arrays()
-        )
-    if binner is not None or obs is not None:
-        # Remaining spans, including the trailing-idleness episodes the
-        # tail pass just logged.
-        _flush_bank_spans(binner, bank, has_ladder, obs)
-
-    if not has_ladder:
-        idle_time = np.clip(
-            T
-            - (
-                seek_time
-                + active_time
-                + spindown_time
-                + spinup_time
-                + standby_time
-            ),
-            0.0,
-            None,
-        )
+    # Trailing idleness: a disk whose post-drain gap outlasts its threshold
+    # descends before the horizon; then the remaining spans, including the
+    # episodes the tail pass just logged.
+    spinups, spindowns = bank.apply_tail()
+    _flush_bank_spans(binner, bank, obs, classic)
 
     if streaming:
         stats = acc.result()
@@ -2595,14 +1795,10 @@ def _simulate_chunks(
             np.concatenate(resp_v_parts) if resp_v_parts else np.empty(0)
         )
         if hits:
-            hit_times = np.concatenate(hit_t_parts)
-            resp_completion = np.concatenate((resp_completion, hit_times))
-            hit_values = (
-                np.concatenate(hit_v_parts)
-                if scheduler is not None
-                else np.full(hits, float(cache_hit_latency))
+            resp_completion = np.concatenate(
+                [resp_completion] + hit_t_parts
             )
-            resp_values = np.concatenate((resp_values, hit_values))
+            resp_values = np.concatenate([resp_values] + hit_v_parts)
         # Report response times in completion order, like the dispatcher
         # does (stable at ties: served completions before cache hits).
         response_times = resp_values[
@@ -2610,81 +1806,56 @@ def _simulate_chunks(
         ]
         completions = int(response_times.size)
 
-    if has_ladder:
-        # Ladder runs are keyed by timeline label; the accumulation order
-        # (rung 0, parks, seek, active, wakes, descents) makes the
-        # two_state ladder's float arithmetic term-for-term identical to
-        # the classic DiskState path below.  Disks are grouped by their
-        # (ladder, spec) pair and each group replays the historical
-        # rung-major arithmetic on its own sub-vectors: a uniform pool is
-        # a single group — term-for-term identical to the old scalar
-        # constants — while a mixed pool prices every drive against its
-        # own ladder depth and power table.
-        groups: Dict[tuple, List[int]] = {}
-        for d in range(num_disks):
-            groups.setdefault((bank.ladders[d], specs[d]), []).append(d)
-        energy_per_disk = np.zeros(num_disks, dtype=float)
-        per_state: Dict = {}
-        for (lad, spec_g), idx_list in groups.items():
-            idx = np.asarray(idx_list, dtype=np.int64)
-            rungs = lad.rungs
-            R = len(rungs)
-            park = [
-                np.array([bank.park_t[d][i] for d in idx_list], dtype=float)
-                for i in range(R)
-            ]
-            down = [
-                np.array([bank.down_t[d][i] for d in idx_list], dtype=float)
-                for i in range(R)
-            ]
-            wake = [
-                np.array([bank.wake_t[d][i] for d in idx_list], dtype=float)
-                for i in range(R)
-            ]
-            occupied = seek_time[idx] + active_time[idx]
-            for arr in down[1:]:
-                occupied = occupied + arr
-            for arr in wake[1:]:
-                occupied = occupied + arr
-            for arr in park[1:]:
-                occupied = occupied + arr
-            idle_g = np.clip(T - occupied, 0.0, None)
-            per_state_g = {rungs[0].name: idle_g}
-            for i in range(1, R):
-                per_state_g[rungs[i].name] = park[i]
-            per_state_g["seek"] = seek_time[idx]
-            per_state_g["active"] = active_time[idx]
-            for i in range(1, R):
-                per_state_g[f"wake:{rungs[i].name}"] = wake[i]
-            for i in range(1, R):
-                per_state_g[f"down:{rungs[i].name}"] = down[i]
-            powers = lad.power_table(spec_g)
-            e_g = np.zeros(len(idx_list), dtype=float)
-            for state, per_disk in per_state_g.items():
-                e_g += powers[state] * per_disk
-            energy_per_disk[idx] = e_g
-            for state, per_disk in per_state_g.items():
-                vec = per_state.setdefault(
-                    state, np.zeros(num_disks, dtype=float)
-                )
-                vec[idx] = per_disk
-    else:
-        per_state = {
-            DiskState.IDLE: idle_time,
-            DiskState.STANDBY: standby_time,
-            DiskState.SEEK: seek_time,
-            DiskState.ACTIVE: active_time,
-            DiskState.SPINUP: spinup_time,
-            DiskState.SPINDOWN: spindown_time,
-        }
-        models = [PowerModel(s) for s in specs]
-        state_power = {
-            state: np.array([m.power(state) for m in models], dtype=float)
-            for state in per_state
-        }
-        energy_per_disk = np.zeros(num_disks, dtype=float)
-        for state, per_disk in per_state.items():
-            energy_per_disk += state_power[state] * per_disk
+    # Residencies are keyed by timeline label; the accumulation order
+    # (rung 0, parks, seek, active, wakes, descents) makes a two-rung
+    # table's float arithmetic term-for-term the classic Figure 1 sum
+    # (idle, standby, seek, active, spin-up, spin-down).  Disks are grouped
+    # by their (rung table, spec) pair and each group runs the rung-major
+    # arithmetic on its own sub-vectors: a uniform pool is a single group,
+    # while a mixed pool prices every drive against its own rung depth
+    # and power table.
+    groups: Dict[tuple, List[int]] = {}
+    for d in range(num_disks):
+        groups.setdefault((bank.rungs[d], specs[d]), []).append(d)
+    energy_per_disk = np.zeros(num_disks, dtype=float)
+    per_state: Dict = {}
+    for (rungs, spec_g), idx_list in groups.items():
+        idx = np.asarray(idx_list, dtype=np.int64)
+        R = len(rungs)
+
+        def residency(table, i):
+            return np.array([table[d][i] for d in idx_list], dtype=float)
+
+        park = [residency(bank.park_t, i) for i in range(R)]
+        down = [residency(bank.down_t, i) for i in range(R)]
+        wake = [residency(bank.wake_t, i) for i in range(R)]
+        occupied = seek_time[idx] + active_time[idx]
+        for arr in down[1:] + wake[1:] + park[1:]:
+            occupied = occupied + arr
+        # (label, per-disk seconds, watts), in accumulation order.
+        idle = np.clip(T - occupied, 0.0, None)
+        terms = [(rungs[0].name, idle, rungs[0].power)]
+        terms += [(r.name, park[i], r.power) for i, r in enumerate(rungs) if i]
+        terms += [
+            ("seek", seek_time[idx], spec_g.seek_power),
+            ("active", active_time[idx], spec_g.active_power),
+        ]
+        terms += [
+            (f"wake:{r.name}", wake[i], r.wake_power)
+            for i, r in enumerate(rungs) if i
+        ]
+        terms += [
+            (f"down:{r.name}", down[i], r.down_power)
+            for i, r in enumerate(rungs) if i
+        ]
+        e_g = np.zeros(len(idx_list), dtype=float)
+        for label, per_disk, watts in terms:
+            e_g += watts * per_disk
+            state = _CLASSIC_STATES[label] if classic else label
+            per_state.setdefault(state, np.zeros(num_disks, dtype=float))[
+                idx
+            ] = per_disk
+        energy_per_disk[idx] = e_g
     state_durations = {
         state: float(per_disk.sum())
         for state, per_disk in per_state.items()
@@ -2693,12 +1864,7 @@ def _simulate_chunks(
 
     extra = {}
     if dpm is not None:
-        if has_ladder:
-            dpm.attach_power(
-                _ladder_power_from_binner(binner, bank.ladders, specs)
-            )
-        else:
-            dpm.attach_power(_power_from_binner(binner, specs))
+        dpm.attach_power(_power_from_binner(binner, bank, specs))
         extra["dpm"] = dpm.extra()
 
     return SimulationResult(

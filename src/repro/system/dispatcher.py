@@ -284,7 +284,7 @@ class Dispatcher:
         """Accumulate one request's service seconds for placement policies.
 
         Same formula and same per-request order as the fast kernel's
-        :class:`~repro.sim.fastkernel._DiskBank` load tracking, so policy
+        :class:`~repro.sim.fastkernel._Bank` load tracking, so policy
         views are bit-identical across engines.
         """
         self.dispatched_seconds[disk] += (

@@ -28,6 +28,7 @@ from repro.system.dispatcher import (
 from repro.system.metrics import ResponseAccumulator, SimulationResult
 from repro.system.scheduling import build_scheduling_setup
 from repro.workload.catalog import FileCatalog
+from repro.workload.chunked import with_file_id_check
 
 __all__ = ["StorageSystem"]
 
@@ -231,6 +232,7 @@ class StorageSystem:
             duration = stream.duration
         if duration <= 0:
             raise ConfigError("duration must be positive")
+        stream = with_file_id_check(stream, self.catalog.n)
         if self.config.engine == "fast":
             reason = fast_unsupported_reason(self.config, stream)
             if reason is not None:

@@ -14,7 +14,12 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.sim.rng import WeightedSampler, rng_from_seed
 
-__all__ = ["RequestStream", "poisson_arrival_times", "sample_file_ids"]
+__all__ = [
+    "RequestStream",
+    "check_file_ids",
+    "poisson_arrival_times",
+    "sample_file_ids",
+]
 
 #: Requests converted per ``tolist()`` block when a stream is iterated.
 ITER_BLOCK = 65_536
@@ -76,6 +81,21 @@ def check_requests(times: np.ndarray, file_ids: np.ndarray) -> None:
         i = int(np.argmax(file_ids < 0))
         raise ConfigError(
             f"file ids must be non-negative: request {i} has file id {file_ids[i]}"
+        )
+
+
+def check_file_ids(file_ids: np.ndarray, n_files: int, first: int = 0) -> None:
+    """Every requested file must be in the catalog: ids below ``n_files``.
+
+    The :class:`~repro.errors.ConfigError` names the first offending
+    request; ``first`` is the stream index of ``file_ids[0]``, so a
+    chunk's error names the request's position in the whole stream.
+    """
+    if file_ids.size and file_ids.max() >= n_files:
+        i = int(np.argmax(file_ids >= n_files))
+        raise ConfigError(
+            f"file ids must be below the catalog size {n_files}: request "
+            f"{first + i} has file id {file_ids[i]}"
         )
 
 

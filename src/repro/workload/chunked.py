@@ -50,6 +50,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Iterable,
     Iterator,
     Optional,
     Protocol,
@@ -64,6 +65,7 @@ import numpy.typing as npt
 from repro.disk.drive import READ, WRITE
 from repro.errors import ConfigError
 from repro.sim.rng import WeightedSampler, rng_from_seed
+from repro.workload.arrivals import check_file_ids
 from repro.workload.catalog import FileCatalog
 
 if TYPE_CHECKING:
@@ -78,6 +80,7 @@ __all__ = [
     "ChunkedStreamView",
     "StreamChunk",
     "generate_mixed_workload_chunked",
+    "with_file_id_check",
 ]
 
 #: Default number of requests per generated chunk.
@@ -235,6 +238,54 @@ class ChunkedStreamView:
     @property
     def mean_rate(self) -> float:
         return self._stream.mean_rate
+
+
+class _FileIdChecked:
+    """A generator-backed chunked stream whose chunks pass
+    :func:`check_file_ids` as they are produced — on the fast kernel and,
+    through ``__iter__``, on the event engine."""
+
+    def __init__(self, stream: SupportsIterChunks, n_files: int) -> None:
+        self._stream = stream
+        self.n_files = n_files
+        self.duration = getattr(stream, "duration", None)
+
+    def iter_chunks(self) -> Iterator[StreamChunk]:
+        seen = 0
+        for chunk in self._stream.iter_chunks():
+            file_ids = np.asarray(chunk.file_ids)
+            check_file_ids(file_ids, self.n_files, seen)
+            seen += int(file_ids.size)
+            yield chunk
+
+    def __iter__(self) -> Iterator[RequestTuple]:
+        return _iter_requests(self)
+
+
+def _checked_requests(requests: Iterable[Any], n_files: int) -> Iterator[Any]:
+    """A plain ``(time, file_id[, kind])`` iterable, each id checked as
+    the event engine replays it."""
+    for i, item in enumerate(requests):
+        if item[1] >= n_files:
+            check_file_ids(np.asarray([item[1]]), n_files, i)
+        yield item
+
+
+def with_file_id_check(stream: Any, n_files: int) -> Any:
+    """``stream`` with every file id checked against an ``n_files``
+    catalog.  Array-backed streams, and chunked views of them, are
+    checked now and returned as is; a generator-backed chunked stream is
+    wrapped so each chunk is checked as it is produced, and any other
+    iterable so each request is checked as it is replayed."""
+    if isinstance(stream, ChunkedStreamView):
+        check_file_ids(np.asarray(stream._stream.file_ids), n_files)
+        return stream
+    if hasattr(stream, "times") and hasattr(stream, "file_ids"):
+        check_file_ids(np.asarray(stream.file_ids), n_files)
+        return stream
+    if hasattr(stream, "iter_chunks"):
+        return _FileIdChecked(stream, n_files)
+    return _checked_requests(stream, n_files)
 
 
 class ChunkedPoissonStream(_SeededStream):

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.disk.dpm import make_dpm_ladder
+from repro.disk.power import DiskState
 from repro.errors import ConfigError, SimulationError
 from repro.sim.fastkernel import _group_key, fast_unsupported_reason, simulate_fast
 from repro.system import StorageConfig, StorageSystem, allocate
@@ -238,6 +240,29 @@ class TestEdgeCases:
         wait = (threshold + spec.spindown_time - arrive) + spec.spinup_time
         service = spec.access_overhead + spec.transfer_time(72 * MB)
         assert fast.response_times[0] == pytest.approx(wait + service)
+
+
+    def test_zero_transition_spec_agrees_with_event_engine(self):
+        # Instant spin-down/spin-up: break-even 0, so every idle gap parks
+        # in standby.  No DpmLadder can express this drive (its entries
+        # must strictly increase), yet both engines run it.
+        spec = StorageConfig().spec.with_overrides(
+            spinup_time=0.0, spindown_time=0.0
+        )
+        assert spec.breakeven_threshold() == 0.0
+        with pytest.raises(ConfigError, match="strictly increase"):
+            make_dpm_ladder("two_state", spec)
+        wl = generate_workload(
+            SyntheticWorkloadParams(
+                n_files=300, arrival_rate=0.5, duration=600.0, seed=3
+            )
+        )
+        cfg = StorageConfig(num_disks=6, load_constraint=0.6, spec=spec)
+        mapping = allocate(wl.catalog, "pack", cfg, 0.5).mapping(wl.catalog.n)
+        event, fast = run_both(wl.catalog, wl.stream, mapping, cfg)
+        assert_equivalent(event, fast)
+        assert fast.spindowns > 0
+        assert fast.state_durations[DiskState.STANDBY] > 0
 
 
 def mixed_scenario(

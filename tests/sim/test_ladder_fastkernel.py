@@ -9,7 +9,7 @@ import pytest
 
 from repro.disk.dpm import DpmLadder, LadderRung, make_dpm_ladder
 from repro.errors import ConfigError
-from repro.sim.fastkernel import _ControlledLadderBank, simulate_fast
+from repro.sim.fastkernel import _Bank, simulate_fast
 from repro.system import StorageConfig, StorageSystem, allocate
 from repro.workload.generator import SyntheticWorkloadParams, generate_workload
 
@@ -208,7 +208,9 @@ class TestLadderKernel:
 
 class TestControlledLadderServeBatch:
     """The hoisted ``serve_batch`` replays per-disk runs exactly like one
-    ``serve`` per request (the reference) on a twin bank."""
+    ``serve`` per request (the reference) on a twin bank — under control
+    and with static thresholds, over ladders and over spec-built two-rung
+    tables — and a bank that skips its span logs evolves the same state."""
 
     INTERVAL = 100.0
     N_INTERVALS = 12
@@ -226,6 +228,16 @@ class TestControlledLadderServeBatch:
         ]
 
     @staticmethod
+    def _specs():
+        return [
+            SPEC,
+            SPEC.with_overrides(spinup_time=9.0, spindown_time=4.0),
+            # Zero-length transitions: break-even 0, no DpmLadder exists.
+            SPEC.with_overrides(spinup_time=0.0, spindown_time=0.0),
+            SPEC,
+        ]
+
+    @staticmethod
     def _thresholds(rng, n):
         # Immediate descent, a random timeout, or never (inf).
         return np.array([
@@ -236,22 +248,27 @@ class TestControlledLadderServeBatch:
     @staticmethod
     def _state(bank):
         return (
-            bank.avail, bank.pt, bank.pv, bank.load, bank.gap_log,
+            bank.avail, bank.pt, bank.pv, bank.load,
+            getattr(bank, "gap_log", None),
             bank.n_up, bank.n_down, bank.park_t, bank.down_t, bank.wake_t,
             bank.park_spans, bank.down_spans, bank.wake_spans,
         )
 
+    @pytest.mark.parametrize("laddered", [True, False])
+    @pytest.mark.parametrize("controlled", [True, False])
     @pytest.mark.parametrize("seed", range(12))
-    def test_batch_matches_per_request_serve(self, seed):
+    def test_batch_matches_per_request_serve(self, seed, controlled, laddered):
         rng = np.random.default_rng(seed)
-        ladders = self._ladders()
-        n = len(ladders)
+        ladders = self._ladders() if laddered else None
+        n = 4
         init = self._thresholds(rng, n)
-        batched, reference = (
-            _ControlledLadderBank(
-                n, init, ladders, SPEC, self.HORIZON, self.INTERVAL
+        batched, reference, quiet = (
+            _Bank(
+                n, init, self._specs(), self.HORIZON, ladder=ladders,
+                interval=self.INTERVAL if controlled else None,
+                log_spans=log_spans,
             )
-            for _ in range(2)
+            for log_spans in (True, True, False)
         )
         for k in range(self.N_INTERVALS):
             lo = k * self.INTERVAL
@@ -266,14 +283,28 @@ class TestControlledLadderServeBatch:
                 got = batched.serve_batch(d, ts, trs)
                 want = [reference.serve(d, t, tr) for t, tr in zip(ts, trs)]
                 assert got == want
+                assert quiet.serve_batch(d, ts, trs) == want
             new = self._thresholds(rng, n)
-            batched.push_thresholds(new)
-            reference.push_thresholds(new)
+            if controlled:
+                for bank in (batched, reference, quiet):
+                    bank.push_thresholds(new)
         assert self._state(batched) == self._state(reference)
+        # Skipping the span logs leaves every other bit of state alone.
+        assert self._state(quiet)[:-3] == self._state(batched)[:-3]
+        assert not any(quiet.down_spans + quiet.park_spans + quiet.wake_spans)
         assert batched.apply_tail()[1].tolist() == (
             reference.apply_tail()[1].tolist()
         )
         assert self._state(batched) == self._state(reference)
-        # Not vacuous: gaps were walked and the flat disk never descended.
-        assert sum(batched.n_down) > 0 and any(batched.gap_log)
-        assert batched.n_down[2] == 0
+        # Not vacuous: gaps were walked (and logged only under control).
+        # Only a static bank whose thresholds are all inf may never descend.
+        assert sum(batched.n_down) > 0 or (
+            not controlled and not np.isfinite(init).any()
+        )
+        assert any(batched.down_spans) == (sum(batched.n_down) > 0)
+        if controlled:
+            assert any(batched.gap_log)
+        else:
+            assert not hasattr(batched, "gap_log")
+        if laddered:
+            assert batched.n_down[2] == 0

@@ -1,10 +1,11 @@
 """The write-placement spin view, in both engines.
 
 Both engines hand the placement policy a per-disk "spinning" mask.  The
-fast kernel's :meth:`_DiskBank.spinning_mask` computes it in one vector
-expression when no disk was served at the query instant and per disk
-otherwise; the event dispatcher reads each live drive.  These tests pin
-each against an independent per-disk reference.
+fast kernel's :meth:`_Bank.spinning_mask` computes it in one vector
+expression for static thresholds, from the instant-start snapshot when a
+disk was served at the query instant; the event dispatcher reads each
+live drive.  These tests pin each against an independent per-disk
+reference.
 """
 
 import math
@@ -19,24 +20,46 @@ from repro.disk.dpm import make_dpm_ladder
 from repro.disk.drive import DiskDrive
 from repro.disk.multistate import MultiStateDiskDrive
 from repro.sim import Environment
-from repro.sim.fastkernel import _DiskBank
+from repro.sim.fastkernel import _Bank
 from repro.system.dispatcher import Dispatcher
 
 # Whole and half seconds: serves and queries share instants often.
 _LATTICE = st.integers(min_value=0, max_value=80).map(lambda k: k / 2)
 _THRESHOLD = st.sampled_from([0.0, 0.5, 1.0, 2.5, 7.0, math.inf])
+_SPECS = [
+    ST3500630AS,
+    WD10EADS,
+    # Zero-length transitions (break-even 0): spec-built tables only.
+    ST3500630AS.with_overrides(spinup_time=0.0, spindown_time=0.0),
+]
 
 
-def reference_mask(bank, t):
+def deepest_descent(spec, ladder, threshold):
+    """``(entry, down)`` of the deepest rung for one disk, or ``None`` if
+    it never descends — derived from the spec/ladder, not the bank."""
+    if ladder is None:
+        entry, down = threshold, spec.spindown_time
+    else:
+        if len(ladder.rungs) < 2:
+            return None
+        entries = ladder.scaled_entries(threshold)
+        if math.isinf(entries[1]):
+            return None
+        entry, down = entries[-1], ladder.rungs[-1].down_time
+    return None if math.isinf(entry) else (entry, down)
+
+
+def reference_mask(bank, t, descents):
     """Per-disk spin state at ``t`` from the bank's scalar lists.
 
     A disk served at ``t`` itself is judged by its state when the instant
-    began (``pv``); every other disk by its current ``avail``.
+    began (``pv``); every other disk by its current ``avail``.  A drained
+    disk is spinning until ``(avail + entry) + down`` of its deepest rung.
     """
     out = []
-    for d in range(len(bank.avail)):
+    for d, descent in enumerate(descents):
         a = bank.pv[d] if bank.pt[d] == t else bank.avail[d]
-        out.append(bank.no_spindown or t < (a + bank.th[d]) + bank.D[d])
+        out.append(descent is None or t < (a + descent[0]) + descent[1])
     return np.array(out, dtype=bool)
 
 
@@ -44,12 +67,22 @@ def reference_mask(bank, t):
 def bank_scripts(draw):
     n = draw(st.integers(min_value=1, max_value=6))
     if draw(st.booleans()):
-        thresholds = [math.inf] * n  # a no_spindown pool
+        thresholds = [math.inf] * n  # a never-descending pool
     else:
         thresholds = draw(st.lists(_THRESHOLD, min_size=n, max_size=n))
-    specs = draw(
-        st.lists(st.sampled_from([ST3500630AS, WD10EADS]), min_size=n, max_size=n)
-    )
+    specs = draw(st.lists(st.sampled_from(_SPECS), min_size=n, max_size=n))
+    # Spec-built two-rung tables, or a mix of two- and multi-rung ladders
+    # (ladders need a transition, so they use the Table 2 specs).
+    ladders = None
+    if draw(st.booleans()):
+        names = draw(
+            st.lists(
+                st.sampled_from(["two_state", "nap", "drpm4"]),
+                min_size=n, max_size=n,
+            )
+        )
+        specs = [s if s.spinup_time else ST3500630AS for s in specs]
+        ladders = [make_dpm_ladder(l, s) for l, s in zip(names, specs)]
     # Steps in time order: ("serve", disk, transfer) or ("query",).
     times = sorted(draw(st.lists(_LATTICE, min_size=1, max_size=40)))
     steps = []
@@ -60,30 +93,34 @@ def bank_scripts(draw):
             steps.append((t, "serve", d, tr))
         else:
             steps.append((t, "query", None, None))
-    return n, thresholds, specs, steps
+    return n, thresholds, specs, ladders, steps
 
 
 @given(bank_scripts())
 def test_bank_spinning_mask_matches_reference(script):
-    n, thresholds, specs, steps = script
-    bank = _DiskBank(n, thresholds, specs, horizon=1e6)
-    assert bank.no_spindown == all(math.isinf(th) for th in thresholds)
+    n, thresholds, specs, ladders, steps = script
+    bank = _Bank(n, thresholds, specs, horizon=1e6, ladder=ladders)
+    descents = [
+        deepest_descent(s, None if ladders is None else ladders[d], th)
+        for d, (s, th) in enumerate(zip(specs, thresholds))
+    ]
     for t, op, d, tr in steps:
         if op == "serve":
             bank.serve(d, t, tr)
         mask = bank.spinning_mask(t)
         assert mask.dtype == bool and mask.shape == (n,)
-        assert np.array_equal(mask, reference_mask(bank, t)), (t, op)
+        assert np.array_equal(mask, reference_mask(bank, t, descents)), (t, op)
 
 
 def test_bank_tie_path_reads_instant_start_state():
     """A disk woken at exactly ``t`` still reads as spun down at ``t``."""
-    bank = _DiskBank(2, 1.0, ST3500630AS, horizon=1e6)
-    t = 100.0  # both disks drained at 0 and are long in standby
-    assert not bank.spinning_mask(t).any()
-    bank.serve(0, t, 1.0)  # disk 0 starts spinning up at t
-    assert not bank.spinning_mask(t).any()  # the tie path: still asleep
-    assert bank.spinning_mask(t + 0.5).tolist() == [True, False]
+    for ladder in (None, make_dpm_ladder("drpm4", ST3500630AS)):
+        bank = _Bank(2, 1.0, ST3500630AS, horizon=1e6, ladder=ladder)
+        t = 100.0  # both disks drained at 0 and are long parked
+        assert not bank.spinning_mask(t).any()
+        bank.serve(0, t, 1.0)  # disk 0 starts waking at t
+        assert not bank.spinning_mask(t).any()  # the tie path: still asleep
+        assert bank.spinning_mask(t + 0.5).tolist() == [True, False]
 
 
 def _reference_spinning(drive):

@@ -112,3 +112,70 @@ class TestRun:
         system = StorageSystem(catalog, mapping, StorageConfig(num_disks=5))
         result = system.run(stream, label="mylabel")
         assert result.algorithm == "mylabel"
+
+
+class _GeneratedChunks:
+    """A chunked stream that is not a view of dense arrays: its chunks
+    exist only as they are produced."""
+
+    def __init__(self, view):
+        self._view = view
+        self.duration = view.duration
+
+    def iter_chunks(self):
+        yield from self._view.iter_chunks()
+
+
+#: Every stream type ``run`` accepts, on each engine that runs it (the fast
+#: engine cannot batch a plain iterable of tuples).
+_ENGINE_KINDS = [
+    (engine, kind)
+    for engine in ("event", "fast")
+    for kind in ("array", "view", "generated", "tuples")
+    if (engine, kind) != ("fast", "tuples")
+]
+
+
+class TestFileIdBounds:
+    """A file id outside the catalog is rejected with a ConfigError naming
+    the request, on both engines and for every stream type ``run``
+    accepts; the last catalog id still runs."""
+
+    @staticmethod
+    def _system(engine):
+        catalog = FileCatalog(
+            sizes=np.full(4, 72 * MB), popularities=np.full(4, 0.25)
+        )
+        mapping = np.arange(4, dtype=np.int64) % 2
+        return StorageSystem(
+            catalog, mapping, StorageConfig(num_disks=2, engine=engine)
+        )
+
+    @staticmethod
+    def _stream(fid):
+        return RequestStream(
+            times=np.array([1.0, 2.0, 3.0]),
+            file_ids=np.array([0, 1, fid]),
+            duration=10.0,
+        )
+
+    @classmethod
+    def _as(cls, fid, kind):
+        stream = cls._stream(fid)
+        if kind == "view":
+            return stream.chunks(2)  # the bad id is in the second chunk
+        if kind == "generated":
+            return _GeneratedChunks(stream.chunks(2))
+        if kind == "tuples":
+            return list(stream)
+        return stream
+
+    @pytest.mark.parametrize("engine,kind", _ENGINE_KINDS)
+    def test_id_equal_to_catalog_size_rejected(self, engine, kind):
+        with pytest.raises(ConfigError, match="request 2 has file id 4"):
+            self._system(engine).run(self._as(4, kind), duration=10.0)
+
+    @pytest.mark.parametrize("engine,kind", _ENGINE_KINDS)
+    def test_last_catalog_id_runs(self, engine, kind):
+        result = self._system(engine).run(self._as(3, kind), duration=10.0)
+        assert result.arrivals == 3 and result.completions == 3
