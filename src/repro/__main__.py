@@ -10,8 +10,10 @@ Subcommands::
 Results are printed as the ASCII tables the paper's figures plot; pass
 ``--csv-dir DIR`` to also export every curve as CSV.  Sweep-backed
 experiments accept ``--workers N`` (process-parallel grid points via the
-orchestrator), ``--engine fast`` (the batched simulation kernel — covers
-read/write mixes and shared caches), ``--chunk-size N`` (out-of-core
+orchestrator), ``--engine {fast,event}`` (the simulation kernel for sweep
+points: ``fast``, the default, is the batched kernel — it covers read/write
+mixes and shared caches; ``event`` is the reference event engine the
+differential harness checks it against), ``--chunk-size N`` (out-of-core
 execution: fast-engine points stream through the chunked kernel N
 requests at a time, bit-identical to the monolithic runs) and
 ``--sweep-cache DIR|off`` (where sweep results persist across sessions;
@@ -121,27 +123,18 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     registry = _experiment_registry()
-    if (
-        args.workers is not None
-        or args.engine is not None
-        or args.sweep_cache is not None
-        or args.chunk_size is not None
-        or args.verbose
-    ):
-        from repro.experiments import orchestrator
+    from repro.experiments import orchestrator
 
-        kwargs = {}
-        if args.sweep_cache is not None:
-            kwargs["cache_dir"] = orchestrator.resolve_cache_dir(
-                args.sweep_cache
-            )
-        orchestrator.configure(
-            max_workers=args.workers,
-            engine=args.engine,
-            chunk_size=args.chunk_size,
-            verbose=args.verbose,
-            **kwargs,
-        )
+    kwargs = {}
+    if args.sweep_cache is not None:
+        kwargs["cache_dir"] = orchestrator.resolve_cache_dir(args.sweep_cache)
+    orchestrator.configure(
+        max_workers=args.workers,
+        engine=args.engine,
+        chunk_size=args.chunk_size,
+        verbose=args.verbose,
+        **kwargs,
+    )
     names = list(registry) if args.experiment == "all" else [args.experiment]
     unknown = [n for n in names if n not in registry]
     if unknown:
@@ -236,8 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--engine",
         choices=("event", "fast"),
-        default=None,
-        help="force a simulation kernel for sweep points that support it",
+        default="fast",
+        help=(
+            "simulation kernel for sweep points that support it (default: "
+            "fast, the batched kernel; 'event' runs the reference event "
+            "engine, which gives the same tables far more slowly)"
+        ),
     )
     run.add_argument(
         "--chunk-size",

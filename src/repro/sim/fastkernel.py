@@ -102,8 +102,20 @@ interval's slice of one, or a scheduler's release batch — is served by
 one :class:`_Dispatch`, which picks the fastest path that applies:
 
 1. **grouped** (read-only, no cache): the batch is pre-sorted into
-   per-disk NumPy groups and each disk's queue is advanced independently
-   by the bank's hoisted :meth:`_Bank.serve_batch`;
+   per-disk NumPy groups and each disk's queue is advanced independently,
+   one group at a time.  With static thresholds and no span log (no
+   controller, no observer) a group of at least ``_SOLVE_MIN_GROUP``
+   requests, at most ``_SOLVE_MAX_LONG_GAPS`` of whose inter-arrival gaps
+   exceed the first rung entry ``e1``, is solved in NumPy by
+   :meth:`_Bank.solve_batch`: busy periods guessed from the wake-free
+   Lindley recursion in closed form, evaluated as position-major chains
+   with the loop's own float expression, every decision re-checked
+   against its exact predecessor and each mismatch repaired by a short
+   scalar walk — so the result is the loop's, bit for bit.  A gap no
+   longer than ``e1`` cannot descend, so the long gaps bound the
+   descents, and each descent may cost the solve a repair walk.  Every
+   other group — small, descent-heavy, controlled or observed — runs the
+   bank's hoisted per-request loop, :meth:`_Bank.serve_batch`;
 2. **segmented** (writes, no cache): only writes that *allocate* a new
    file couple the disks, so the batch is split at those coupling points
    and each read-only segment between them replays grouped; the
@@ -137,9 +149,13 @@ spin-up), and requests arriving at or after the horizon are censored
 (counted as neither arrivals nor completions).  Agreement with the event
 kernel is tested to tight tolerances in ``tests/sim/test_fastkernel.py``;
 the only differences are ~1 ulp float drift (the event loop accumulates
-arrival times as ``now + (t - now)``) and tie-breaking at measure-zero
-coincidences (a completion and an arrival at the exact same instant — the
-fast kernel admits the completion first).
+arrival times as ``now + (t - now)``) and the order of same-instant
+events.  The fast kernel serves a completion before an arrival at the
+same instant: the arriving request finds its disk already free, and the
+completed miss already admitted to the cache.  The event engine orders
+such ties by its event heap, which can differ.  Whole-second traces make
+these ties common; one written order for both engines is an open ROADMAP
+item.
 
 Select the engine per run via ``StorageConfig(engine="fast")``; the one
 scenario class the fast kernel cannot express (streams that are neither
@@ -313,6 +329,12 @@ class _Bank:
     a descent skips its span log, so a long fixed-threshold run does not
     hold one tuple per transition.  An infinite threshold needs no
     special casing: ``gap > inf`` is never true.
+
+    A disk's FIFO run is served by one of two paths with bit-equal
+    results: the per-request loop :meth:`serve_batch` (every bank), or,
+    with static thresholds and no span log, the NumPy busy-period solve
+    :meth:`solve_batch`, which bills its descents through the same
+    :meth:`_descend` in the same order.  :func:`_serve_segment` picks.
     """
 
     __slots__ = (
@@ -507,7 +529,10 @@ class _Bank:
         per-disk state, the threshold rows and the scaled-entry cache
         hoisted into locals for the long read-only runs; only a descent
         calls out (to :meth:`_descend`).  A static gap no longer than
-        ``e1`` costs one comparison; under control ``e1`` is ``-inf``."""
+        ``e1`` costs one comparison; under control ``e1`` is ``-inf``.
+        This loop is the reference :meth:`solve_batch` reproduces, and it
+        serves every group the solve does not take: controlled and
+        observed runs, small groups and descent-heavy ones."""
         out: List[float] = []
         append = out.append
         a = self.avail[d]
@@ -552,6 +577,148 @@ class _Bank:
         self.avail[d] = a
         self.load[d] = ld
         return out
+
+    def _wakes(self, d: int, a: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Vectorised return value of :meth:`_descend` (the wake
+        completion) for the gaps ``[a, t)`` on disk ``d``, billing nothing:
+        the same rung walk and the same float expressions, elementwise."""
+        entries = self.entries[d]
+        dn = self.dn[d]
+        wk = self.wk[d]
+        g = t - a
+        i = np.ones(g.shape, dtype=np.intp)
+        for j in range(2, self.R[d]):
+            # Entries never decrease down the ladder, so this is the walk.
+            i[g > entries[j]] = j
+        de = (a + np.take(entries, i)) + np.take(dn, i)
+        return np.where(t >= de, t, de) + np.take(wk, i)
+
+    def _wake(self, d: int, a: float, t: float) -> float:
+        """:meth:`_wakes` for one gap, in scalar floats."""
+        entries = self.entries[d]
+        g = t - a
+        i = 1
+        while i + 1 < self.R[d] and g > entries[i + 1]:
+            i += 1
+        de = (a + entries[i]) + self.dn[d][i]
+        return (t if t >= de else de) + self.wk[d][i]
+
+    def _walk(
+        self, d: int, t, tr, s: np.ndarray, avail: np.ndarray, m: int,
+        a: float,
+    ) -> int:
+        """Repair :meth:`solve_batch`'s ``s``/``avail`` from request ``m``
+        on, whose exact predecessor ``avail`` is ``a``, with the loop's
+        scalar recursion; stops at the first request whose ``avail``
+        rejoins the chains' value and returns its index (``len(t)`` if
+        none does)."""
+        e1 = self.e1[d]
+        oh = self.oh[d]
+        n = len(t)
+        k = m
+        while k < n:
+            tk = t[k]
+            if tk <= a:
+                sk = a
+            elif tk - a <= e1:
+                sk = tk
+            else:
+                sk = self._wake(d, a, tk)
+            s[k] = sk
+            a = sk + oh + tr[k]
+            if a == avail[k]:
+                break
+            avail[k] = a
+            k += 1
+        return k
+
+    def solve_batch(self, d: int, t: np.ndarray, tr: np.ndarray) -> np.ndarray:
+        """:meth:`serve_batch` as a NumPy solve over busy-period chains.
+
+        Static thresholds and no span log only.  Returns the service starts
+        and leaves every bit of state :meth:`serve_batch` leaves, from the
+        same float expressions on the same inputs:
+
+        1. *guess* every ``avail`` with the wake-free Lindley recursion in
+           closed form (``cumsum`` + ``maximum.accumulate``); its busy
+           periods start where ``t > prev``, each at the arrival or, past
+           ``e1``, at the wake completion of the rung walk;
+        2. *evaluate* every busy period with the loop's own expression
+           ``a_k = (a_{k-1} + oh) + tr_k``, position-major: chains sorted
+           longest first, so step ``k`` adds over a prefix of step
+           ``k - 1``;
+        3. *check* every decision against its exact predecessor and repair
+           each mismatch with a scalar walk that stops where its value
+           rejoins the chains' (everything after is then exact again).
+
+        Descents are billed last through :meth:`_descend`, in request
+        order, like the loop bills them.
+        """
+        n = int(t.size)
+        oh = self.oh[d]
+        a0 = self.avail[d]
+        # ``g > e1`` with ``e1 >= 0`` also means ``t > prev``: a descent.
+        e1 = max(self.e1[d], 0.0)
+        # ``load`` sums ``oh + tr`` one request at a time, like the loop.
+        inc = np.empty(n + 1)
+        inc[0] = self.load[d]
+        np.add(tr, oh, out=inc[1:])
+        load = float(np.add.accumulate(inc)[-1])
+        inc = inc[1:]
+        # 1. Guess (rounding may misplace a start; step 3 catches it).
+        cum = np.cumsum(inc)
+        lead = np.subtract(cum, inc)
+        np.subtract(t, lead, out=lead)
+        np.maximum.accumulate(lead, out=lead)
+        np.maximum(lead, a0, out=lead)
+        prev = np.empty(n)
+        prev[0] = a0
+        np.add(cum[:-1], lead[:-1], out=prev[1:])
+        del inc, cum, lead
+        head = t > prev
+        head[0] = True  # the carried-in backlog heads the first chain
+        heads = np.flatnonzero(head)
+        x = np.maximum(t[heads], prev[heads])
+        down = x - prev[heads] > e1
+        if down.any():
+            hd = heads[down]
+            x[down] = self._wakes(d, prev[hd], t[hd])
+        # 2. Evaluate the chains.
+        avail = _chains(heads, x, tr, oh)
+        # 3. Check every decision against its exact predecessor: a queued
+        # request must not have been due to start, a head must have the
+        # start value the exact predecessor gives it.
+        prev[1:] = avail[:-1]
+        s = np.maximum(t, prev)
+        down = t - prev > e1
+        if down.any():
+            s[down] = self._wakes(d, prev[down], t[down])
+        bad = t > prev
+        bad[heads] = s[heads] != x
+        bad = np.flatnonzero(bad).tolist()
+        t_w, tr_w = t, tr
+        if len(bad) * 16 > n:
+            # Many walks: plain floats index faster than array scalars.
+            t_w, tr_w = t.tolist(), tr.tolist()
+        done = -1
+        for m in bad:
+            if m > done:
+                done = self._walk(d, t_w, tr_w, s, avail, m, float(prev[m]))
+        if done >= 0:
+            prev[1:] = avail[:-1]
+            down = t - prev > e1
+        # Bill the descents in request order.
+        entries = self.entries[d]
+        for a, tk in zip(prev[down].tolist(), t[down].tolist()):
+            self._descend(d, a, tk, entries)
+        # Instant-start snapshot: the last change of arrival instant.
+        moved = np.flatnonzero(t != np.concatenate(([self.pt[d]], t[:-1])))
+        if moved.size:
+            self.pv[d] = float(prev[moved[-1]])
+        self.pt[d] = float(t[-1])
+        self.avail[d] = float(avail[-1])
+        self.load[d] = load
+        return s
 
     def spinning_mask(self, t: float) -> np.ndarray:
         """Per-disk "not parked in the deepest rung at ``t``" — the §1.1
@@ -656,6 +823,72 @@ def _group_key(d: np.ndarray, num_disks: int) -> np.ndarray:
     return d
 
 
+#: A group goes to :meth:`_Bank.solve_batch` only if it has at least
+#: ``_SOLVE_MIN_GROUP`` requests and at most a ``_SOLVE_MAX_LONG_GAPS``
+#: share of its inter-arrival gaps exceed ``e1``.  Those long gaps are a
+#: superset of its descents (``avail >= t`` after every serve), and each
+#: descent may cost the solve a scalar repair walk: on the paper's Table 1
+#: inputs the solve took 0.3-0.6x the loop's time on groups below 5% long
+#: gaps and 1.0-1.9x above 7%, and the fixed cost of its NumPy calls
+#: outweighs the loop below about 2,000 requests.
+_SOLVE_MIN_GROUP = 2048
+_SOLVE_MAX_LONG_GAPS = 0.05
+#: :func:`_chains` steps through NumPy while more chains than this are
+#: still running, then finishes their tails one float at a time.
+_CHAIN_TAIL_WIDTH = 8
+
+
+def _chains(
+    heads: np.ndarray, x: np.ndarray, tr: np.ndarray, oh: float
+) -> np.ndarray:
+    """``avail`` after every request of busy-period chains that start at
+    ``heads`` with service starts ``x``: ``a_k = (a_{k-1} + oh) + tr_k``
+    down each chain, ``a_h = (x + oh) + tr_h`` at its head, the float
+    expression of :meth:`_Bank.serve_batch`.
+
+    Position-major: chains sorted longest first, so step ``k`` of every
+    chain is two contiguous adds over a prefix of step ``k - 1``.
+    """
+    n = int(tr.size)
+    lengths = np.diff(heads, append=n)
+    top = int(lengths.max())
+    order = np.argsort(_group_key(top - lengths, top + 1), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    # width[k]: chains longer than k; base[k]: where step k starts.
+    width = order.size - np.cumsum(np.bincount(lengths)[:-1])
+    base = np.zeros(top, dtype=np.intp)
+    np.cumsum(width[:-1], out=base[1:])
+    pos = np.arange(n)
+    pos -= np.repeat(heads, lengths)
+    slot = base[pos]
+    del pos
+    slot += np.repeat(rank, lengths)
+    vals = np.empty(n)
+    vals[slot] = tr
+    buf = np.add(x[order], oh)
+    lo = base.tolist()
+    w = width.tolist()
+    np.add(vals[:w[0]], buf, out=vals[:w[0]])
+    # Once only a few chains are left, their tails go faster one float at
+    # a time than as NumPy steps.
+    cut = max(1, int(np.count_nonzero(width > _CHAIN_TAIL_WIDTH)))
+    for k in range(1, cut):
+        step = vals[lo[k]:lo[k] + w[k]]
+        np.add(vals[lo[k - 1]:lo[k - 1] + w[k]], oh, out=buf[:w[k]])
+        np.add(step, buf[:w[k]], out=step)
+    if cut < top:
+        off = lo[cut - 1]
+        v = vals[off:].tolist()
+        for k in range(cut, top):
+            i = lo[k] - off
+            j = lo[k - 1] - off
+            for r in range(w[k]):
+                v[i + r] = (v[j + r] + oh) + v[i + r]
+        vals[off:] = v
+    return vals[slot]
+
+
 def _serve_segment(
     bank: _Bank,
     d_seg: np.ndarray,
@@ -684,10 +917,20 @@ def _serve_segment(
     group_lo = np.concatenate(([0], cuts))
     group_hi = np.concatenate((cuts, [n]))
     seg_starts = np.empty(n, dtype=float)
+    solve = bank._th_rows is None and not bank.log_spans
     for lo, hi in zip(group_lo.tolist(), group_hi.tolist()):
-        seg_starts[lo:hi] = bank.serve_batch(
-            int(d_s[lo]), t_s[lo:hi].tolist(), tr_s[lo:hi].tolist()
-        )
+        d = int(d_s[lo])
+        ts = t_s[lo:hi]
+        trs = tr_s[lo:hi]
+        if (
+            solve
+            and hi - lo >= _SOLVE_MIN_GROUP
+            and np.count_nonzero(np.diff(ts) > bank.e1[d])
+            <= _SOLVE_MAX_LONG_GAPS * (hi - lo)
+        ):
+            seg_starts[lo:hi] = bank.solve_batch(d, ts, trs)
+        else:
+            seg_starts[lo:hi] = bank.serve_batch(d, ts.tolist(), trs.tolist())
     starts_out[order] = seg_starts
 
 

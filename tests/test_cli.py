@@ -3,6 +3,13 @@
 import pytest
 
 from repro.__main__ import main
+from repro.experiments import orchestrator
+
+
+@pytest.fixture(autouse=True)
+def _restore_shared_runner(monkeypatch):
+    """``run`` replaces the process-wide sweep runner; put it back."""
+    monkeypatch.setattr(orchestrator, "_DEFAULT", orchestrator._DEFAULT)
 
 
 class TestList:
@@ -59,6 +66,19 @@ class TestRun:
             ["run", "table2", "--write-policy", "round_robin"]
         ) == 2
         assert "not applicable" in capsys.readouterr().err
+
+    def test_engine_defaults_to_fast(self, capsys):
+        assert main(["run", "table2"]) == 0
+        assert orchestrator.default_runner().engine == "fast"
+
+    def test_engine_event_selects_the_reference(self, capsys):
+        assert main(["run", "table2", "--engine", "event"]) == 0
+        assert orchestrator.default_runner().engine == "event"
+
+    def test_engine_rejects_unknown_kernel(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "table2", "--engine", "vector"])
+        assert exc.value.code == 2
 
     def test_seed_override(self, capsys):
         assert main(["run", "complexity", "--scale", "0.2", "--seed", "5"]) == 0
