@@ -17,7 +17,7 @@ import pytest
 
 from repro.disk import ST3500630AS
 from repro.disk.dpm import DpmState, MultiStateDpmPolicy
-from repro.disk.multistate import MultiStateDiskDrive
+from repro.disk.drive import DiskDrive
 from repro.reporting.table import format_table
 from repro.sim import Environment
 from repro.system import StorageConfig, StorageSystem, allocate
@@ -35,17 +35,19 @@ NAP_LADDER = [
 
 def _simulate(policy: MultiStateDpmPolicy, gaps: np.ndarray):
     env = Environment()
-    drive = MultiStateDiskDrive(env, SPEC, policy)
+    drive = DiskDrive(env, SPEC, ladder=policy)
     times = np.cumsum(gaps)
+    requests = []
 
     def feeder(env):
         for t in times:
             yield env.timeout(t - env.now)
-            drive.submit(0, 72 * MB)
+            requests.append(drive.submit(0, 72 * MB))
 
     env.process(feeder(env))
     env.run(until=float(times[-1]) + 30.0)
-    return drive.mean_power(), drive.stats.response.mean
+    responses = [r.done.value for r in requests if r.done.processed]
+    return drive.mean_power(), float(np.mean(responses))
 
 
 def test_nap_state_payoff(benchmark, capsys):

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.disk import DiskDrive, ST3500630AS
+from repro.disk import DiskDrive, ST3500630AS, make_dpm_ladder
 from repro.experiments.orchestrator import SimTask, SweepRunner
 from repro.sim import Environment
 from repro.system import StorageConfig, StorageSystem, allocate
@@ -42,14 +42,19 @@ def test_event_loop_throughput(benchmark):
     assert benchmark(run) == 5_000.0
 
 
-def test_drive_request_throughput(benchmark):
-    """One drive serving 5k requests with idle gaps and spin cycles."""
+@pytest.mark.parametrize("ladder", [None, "nap"])
+def test_drive_request_throughput(benchmark, ladder):
+    """One drive serving 5k requests with idle gaps and spin cycles, over
+    the spec's two-rung table and over a three-rung ladder."""
     rng = np.random.default_rng(2)
     gaps = rng.exponential(10.0, size=5_000)
 
     def run():
         env = Environment()
-        drive = DiskDrive(env, ST3500630AS, idleness_threshold=20.0)
+        drive = DiskDrive(
+            env, ST3500630AS, idleness_threshold=20.0,
+            ladder=make_dpm_ladder(ladder, ST3500630AS),
+        )
 
         def feeder(env):
             for gap in gaps:

@@ -24,11 +24,11 @@ Figure 1 spin-down generalized per rung) — so that energy and timing can
 be accounted exactly: parked time at each rung's power, descents at their
 ``down_power``, wakes billed at ``wake_power`` for the *configured* wake
 time (no folded lump sums).  The ``two_state`` preset built from a
-:class:`~repro.disk.specs.DiskSpec` reproduces the classic
-:class:`~repro.disk.drive.DiskDrive` bit for bit; :mod:`repro.disk.multistate`
-runs ladders inside the event engine and
-:mod:`repro.sim.fastkernel` runs the same semantics batched
-(``StorageConfig(dpm_ladder=...)`` selects a preset by name).
+:class:`~repro.disk.specs.DiskSpec` reproduces a ladder-less drive (which
+runs :func:`_two_rung_table`) bit for bit; :class:`~repro.disk.drive.DiskDrive`
+walks ladders inside the event engine and :mod:`repro.sim.fastkernel`
+runs the same semantics batched (``StorageConfig(dpm_ladder=...)``
+selects a preset by name).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.disk.power import DiskState
 from repro.disk.specs import DiskSpec
 from repro.errors import ConfigError
 
@@ -282,7 +283,7 @@ class LadderRung:
     def __post_init__(self) -> None:
         for field in ("power", "entry", "down_time", "down_power",
                       "wake_time", "wake_power"):
-            if getattr(self, field) < 0:
+            if not getattr(self, field) >= 0:  # also rejects NaN
                 raise ConfigError(
                     f"rung {self.name!r}: {field} must be >= 0"
                 )
@@ -579,3 +580,48 @@ def make_dpm_ladder(
             f"unknown DPM ladder {ladder!r}; choose from {dpm_ladder_names()}"
         ) from None
     return builder(spec)
+
+
+# -- the ladder-less drive -------------------------------------------------------
+
+
+def _two_rung_table(spec: DiskSpec) -> Tuple[LadderRung, LadderRung]:
+    """The paper's Figure 1 drive as a two-rung table: idle, then standby
+    through the spin-down, left by the spin-up.
+
+    Both engines run a drive without a DPM ladder over this table.  It is
+    built directly from the spec, not as a :class:`DpmLadder`: the
+    idleness threshold (not a rung entry) starts the descent, and ladder
+    validation would reject a spec with zero-length transitions
+    (break-even 0), which this table runs like any other.
+    """
+    return (
+        LadderRung("idle", spec.idle_power),
+        LadderRung(
+            "standby",
+            spec.standby_power,
+            down_time=spec.spindown_time,
+            down_power=spec.spindown_power,
+            wake_time=spec.spinup_time,
+            wake_power=spec.spinup_power,
+        ),
+    )
+
+
+def _two_rung_entries(threshold: float) -> Tuple[float, float]:
+    """Descent schedule of a :func:`_two_rung_table`: standby after the
+    threshold (``inf`` never descends)."""
+    return (0.0, threshold)
+
+
+#: A ladder-less drive reports its :func:`_two_rung_table` timeline labels
+#: under the classic :class:`~repro.disk.power.DiskState` names, in
+#: ``state_durations`` and in observer spans alike, on both engines.
+_CLASSIC_STATES = {
+    "idle": DiskState.IDLE,
+    "standby": DiskState.STANDBY,
+    "seek": DiskState.SEEK,
+    "active": DiskState.ACTIVE,
+    "wake:standby": DiskState.SPINUP,
+    "down:standby": DiskState.SPINDOWN,
+}

@@ -75,8 +75,11 @@ class FleetDisk:
             self.ladder, (str, DpmLadder)
         ):
             raise ConfigError("FleetDisk.ladder must be a name or a DpmLadder")
-        if self.threshold is not None and self.threshold < 0:
-            raise ConfigError("FleetDisk.threshold must be >= 0")
+        if self.threshold is not None and not self.threshold >= 0:
+            # ``not >= 0`` also rejects NaN.
+            raise ConfigError(
+                f"FleetDisk.threshold must be >= 0, got {self.threshold!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,11 @@ class DiskSpec:
             "spinup_time",
             "spindown_time",
         ):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"DiskSpec.{name} must be non-negative")
+            value = getattr(self, name)
+            if not value >= 0:  # also rejects NaN
+                raise ConfigError(
+                    f"DiskSpec.{name} must be non-negative, got {value!r}"
+                )
         if self.standby_power >= self.idle_power:
             raise ConfigError(
                 "standby power must be below idle power, otherwise spinning "

@@ -212,7 +212,7 @@ def _canon(obj: Any) -> Any:
 #: v5: multi-state DPM ladders (``StorageConfig.dpm_ladder`` salts
 #: fingerprints via the config dataclass; ladder runs key
 #: ``state_durations`` by timeline label) + the reworked
-#: ``MultiStateDiskDrive`` descent/wake energy accounting.
+#: ladder drive's descent/wake energy accounting.
 #: v6: out-of-core streaming (``StorageConfig.metrics_mode`` /
 #: ``chunk_size`` salt fingerprints via the config dataclass; streaming
 #: results carry ``response_stats`` instead of ``response_times``) + the

@@ -7,11 +7,8 @@ written in), providing the same process-based modelling style:
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.Process` — generator-coroutine processes that
   ``yield`` events to wait on them,
-* :class:`~repro.sim.events.AnyOf` / :class:`~repro.sim.events.AllOf` —
-  condition events,
-* :class:`~repro.sim.events.Interrupt` — asynchronous process interruption,
-* :mod:`~repro.sim.monitor` — state timelines and streaming statistics used
-  for energy accounting and response-time measurement,
+* :class:`~repro.sim.monitor.StateTimeline` — the per-drive state
+  timeline that energy accounting integrates,
 * :mod:`~repro.sim.fastkernel` — a batched fast path for array-backed
   streams, covering read/write mixes (§1.1 write allocation) and shared
   caches as well as the read-only case (select with
@@ -35,33 +32,17 @@ Example
 """
 
 from repro.sim.environment import Environment, EmptySchedule, NORMAL, URGENT
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Condition,
-    ConditionValue,
-    Event,
-    Interrupt,
-    Process,
-    Timeout,
-)
-from repro.sim.monitor import StateTimeline, Tally, TimeWeighted
+from repro.sim.events import Event, Process, Timeout
+from repro.sim.monitor import StateTimeline
 from repro.sim.rng import rng_from_seed, spawn_rngs
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "ConditionValue",
     "EmptySchedule",
     "Environment",
     "Event",
-    "Interrupt",
     "NORMAL",
     "Process",
     "StateTimeline",
-    "Tally",
-    "TimeWeighted",
     "Timeout",
     "URGENT",
     "rng_from_seed",

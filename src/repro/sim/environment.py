@@ -5,10 +5,10 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import count
 from math import inf
-from typing import Any, Generator, Iterable, Optional, Union
+from typing import Any, Generator, Union
 
 from repro.errors import SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.sim.events import Event, Process, Timeout
 
 __all__ = ["Environment", "EmptySchedule", "NORMAL", "URGENT"]
 
@@ -52,9 +52,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list = []
         self._eid = count()
-        #: The process currently executing (or ``None``); used to forbid
-        #: self-interrupts and useful for debugging.
-        self.active_process: Optional[Process] = None
 
     @property
     def now(self) -> float:
@@ -88,14 +85,6 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Start a new :class:`Process` running ``generator``."""
         return Process(self, generator)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition triggering when any of ``events`` triggers."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Condition triggering when all of ``events`` have triggered."""
-        return AllOf(self, events)
 
     # -- scheduling & stepping -------------------------------------------------
 

@@ -10,20 +10,11 @@ triggers when the generator terminates, so processes can wait on each other.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Generator, Optional
 
 from repro.errors import SimulationError
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "ConditionValue",
-    "Event",
-    "Interrupt",
-    "Process",
-    "Timeout",
-]
+__all__ = ["Event", "Process", "Timeout"]
 
 
 class _Pending:
@@ -34,19 +25,6 @@ class _Pending:
 
 
 PENDING = _Pending()
-
-
-class Interrupt(Exception):
-    """Raised inside a process when :meth:`Process.interrupt` is called.
-
-    The interrupted process may catch the exception and continue; the event
-    it was waiting on is detached and will no longer resume it.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The ``cause`` argument passed to :meth:`Process.interrupt`."""
-        return self.args[0] if self.args else None
 
 
 class Event:
@@ -148,7 +126,7 @@ class Process(Event):
     succeeds with the generator's return value when it finishes.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env, generator: Generator) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -161,52 +139,15 @@ class Process(Event):
         init._value = None
         init.callbacks.append(self._resume)
         env._schedule(init)
-        self._target: Optional[Event] = init
 
     @property
     def is_alive(self) -> bool:
         """``True`` while the wrapped generator has not terminated."""
         return not self.triggered
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on (or ``None``)."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The process is detached from the event it was waiting on; that event
-        may still fire later but will no longer resume this process.
-        """
-        if self.triggered:
-            raise SimulationError("cannot interrupt a terminated process")
-        if self is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        event = Event(self.env)
-        event._ok = False
-        event._value = Interrupt(cause)
-        event._defused = True  # delivery below handles it
-        event.callbacks.append(self._deliver_interrupt)
-        self.env._schedule(event, priority=0)  # URGENT
-
-    # -- internal machinery -------------------------------------------------
-
-    def _deliver_interrupt(self, event: Event) -> None:
-        if self.triggered:  # terminated before the interrupt was delivered
-            return
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._resume(event)
-
     def _resume(self, event: Event) -> None:
         env = self.env
         generator = self._generator
-        env.active_process = self
         while True:
             try:
                 if event._ok:
@@ -245,101 +186,4 @@ class Process(Event):
                 event = next_event
                 continue
             callbacks.append(self._resume)
-            self._target = next_event
             break
-        env.active_process = None
-
-
-class ConditionValue(dict):
-    """Mapping of triggered sub-event -> value produced by a condition.
-
-    Behaves like a dict keyed by the :class:`Event` objects; also exposes
-    :meth:`of` for readable access.
-    """
-
-    def of(self, event: Event) -> Any:
-        """Return the value contributed by ``event`` (KeyError if absent)."""
-        return self[event]
-
-
-class Condition(Event):
-    """An event that triggers based on the outcomes of several sub-events.
-
-    Parameters
-    ----------
-    env:
-        Owning environment.
-    evaluate:
-        ``evaluate(events, triggered_count) -> bool`` deciding success.
-    events:
-        The sub-events observed.
-    """
-
-    __slots__ = ("_events", "_evaluate", "_count")
-
-    def __init__(self, env, evaluate: Callable, events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = tuple(events)
-        self._evaluate = evaluate
-        self._count = 0
-        for ev in self._events:
-            if ev.env is not env:
-                raise SimulationError("condition spans multiple environments")
-        if not self._events:
-            self.succeed(ConditionValue())
-            return
-        for ev in self._events:
-            if ev.processed:
-                # Already over before the condition existed.
-                self._observe(ev)
-            else:
-                # Triggered-but-unprocessed events (e.g. a pending Timeout)
-                # still run their callbacks when the loop reaches them.
-                ev.callbacks.append(self._observe)
-
-    def _collect(self) -> ConditionValue:
-        result = ConditionValue()
-        for ev in self._events:
-            # Only *processed* events have actually occurred; a Timeout is
-            # "triggered" from birth but pending until the loop reaches it.
-            if ev.processed and ev._ok:
-                result[ev] = ev._value
-        return result
-
-    def _observe(self, event: Event) -> None:
-        if self.triggered:
-            if not event._ok:
-                event._defused = True  # condition already settled
-            return
-        self._count += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect())
-
-
-def _any_evaluate(events, count: int) -> bool:
-    return count >= 1
-
-
-def _all_evaluate(events, count: int) -> bool:
-    return count == len(events)
-
-
-class AnyOf(Condition):
-    """Condition that triggers as soon as any sub-event triggers."""
-
-    __slots__ = ()
-
-    def __init__(self, env, events: Iterable[Event]) -> None:
-        super().__init__(env, _any_evaluate, events)
-
-
-class AllOf(Condition):
-    """Condition that triggers once all sub-events have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env, events: Iterable[Event]) -> None:
-        super().__init__(env, _all_evaluate, events)

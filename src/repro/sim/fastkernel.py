@@ -72,7 +72,9 @@ in :data:`repro.disk.dpm.DPM_LADDERS`, or any user
 one runs the two-rung table of its :class:`~repro.disk.specs.DiskSpec`
 (idle, then standby after the idleness threshold — the paper's Figure 1
 drive as the simplest ladder), reported under the classic
-:class:`~repro.disk.power.DiskState` names.  The ``two_state`` preset
+:class:`~repro.disk.power.DiskState` names.  Both the table and the label
+map live in :mod:`repro.disk.dpm`, shared with the event engine's one
+:class:`~repro.disk.drive.DiskDrive`.  The ``two_state`` preset
 therefore simulates byte-identically to a ladder-less run, and the seeded
 randomized differential harness in ``tests/differential/`` holds both
 engines to 1e-9 agreement across the full config space (disks x streams
@@ -167,14 +169,19 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from math import inf
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.disk.dpm import DpmLadder, LadderRung
+from repro.disk.dpm import (
+    _CLASSIC_STATES,
+    DpmLadder,
+    _two_rung_entries,
+    _two_rung_table,
+)
 from repro.disk.drive import READ, WRITE
 from repro.disk.fleet import ResolvedFleet
-from repro.disk.power import DiskState, PowerModel
+from repro.disk.power import PowerModel
 from repro.disk.specs import DiskSpec
 from repro.errors import ConfigError, SimulationError
 from repro.obs.hooks import active_observer
@@ -253,47 +260,6 @@ def _per_disk_floats(value, num_disks: int) -> List[float]:
     return [float(v) for v in arr]
 
 
-def _two_rung_table(spec: DiskSpec) -> Tuple[LadderRung, LadderRung]:
-    """The paper's Figure 1 drive as a two-rung table: idle, then standby
-    through the spin-down, left by the spin-up.
-
-    Built directly from the spec, not as a :class:`DpmLadder`: the idleness
-    threshold (not a rung entry) starts the descent, and ladder validation
-    would reject a spec with zero-length transitions (break-even 0), which
-    this table runs like any other.
-    """
-    return (
-        LadderRung("idle", spec.idle_power),
-        LadderRung(
-            "standby",
-            spec.standby_power,
-            down_time=spec.spindown_time,
-            down_power=spec.spindown_power,
-            wake_time=spec.spinup_time,
-            wake_power=spec.spinup_power,
-        ),
-    )
-
-
-def _two_rung_entries(threshold: float) -> Tuple[float, float]:
-    """Descent schedule of a :func:`_two_rung_table`: standby after the
-    threshold (``inf`` never descends)."""
-    return (0.0, threshold)
-
-
-#: Ladder-less runs report the two-rung table's timeline labels under the
-#: classic :class:`DiskState` names, in ``state_durations`` and in observer
-#: spans alike.
-_CLASSIC_STATES = {
-    "idle": DiskState.IDLE,
-    "standby": DiskState.STANDBY,
-    "seek": DiskState.SEEK,
-    "active": DiskState.ACTIVE,
-    "wake:standby": DiskState.SPINUP,
-    "down:standby": DiskState.SPINDOWN,
-}
-
-
 class _Bank:
     """Per-disk queue and power state for every fast-kernel path.
 
@@ -304,10 +270,9 @@ class _Bank:
     rung occupied when the gap ends bills a (possibly horizon-clipped)
     descent plus park-until-arrival, and the wake is billed at the rung's
     wake power for its configured wake time.  A disk without a DPM ladder
-    runs the :func:`_two_rung_table` of its spec — the recursion is then
-    term for term the Figure 1 spin-down/spin-up of
-    :class:`~repro.disk.drive.DiskDrive` — and a ``two_state`` ladder runs
-    the same arithmetic (``tests/sim/test_ladder_fastkernel.py`` asserts
+    runs the :func:`~repro.disk.dpm._two_rung_table` of its spec, the
+    same table the event engine's :class:`~repro.disk.drive.DiskDrive`
+    walks, and a ``two_state`` ladder runs the same arithmetic (``tests/sim/test_ladder_fastkernel.py`` asserts
     bit-equal responses and energies).
 
     Everything is held per disk, so a heterogeneous fleet needs nothing

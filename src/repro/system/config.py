@@ -184,8 +184,13 @@ class StorageConfig:
                 "storage_utilization must be in (0, 1], got "
                 f"{self.storage_utilization}"
             )
-        if self.idleness_threshold is not None and self.idleness_threshold < 0:
-            raise ConfigError("idleness_threshold must be >= 0")
+        if self.idleness_threshold is not None and not (
+            self.idleness_threshold >= 0  # also rejects NaN
+        ):
+            raise ConfigError(
+                "idleness_threshold must be >= 0, got "
+                f"{self.idleness_threshold!r}"
+            )
         if self.cache_hit_latency < 0:
             raise ConfigError("cache_hit_latency must be >= 0")
         if self.cache_capacity <= 0:

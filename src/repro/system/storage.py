@@ -34,10 +34,12 @@ __all__ = ["StorageSystem"]
 
 
 def _state_label(state) -> str:
-    """Normalize a timeline state to the observer's span vocabulary:
-    lowercase power-state names for :class:`DiskState`, ladder timeline
-    labels (rung names, ``down:``/``wake:`` transitions) unchanged."""
-    return state.name.lower() if isinstance(state, DiskState) else str(state)
+    """Normalize a timeline state to the observer's span vocabulary: a
+    ladder-less drive's :class:`DiskState` (its two-rung table's labels
+    mapped through :data:`repro.disk.dpm._CLASSIC_STATES`) by value, as
+    the fast kernel reports it; ladder timeline labels (rung names,
+    ``down:``/``wake:`` transitions) unchanged."""
+    return state.value if isinstance(state, DiskState) else str(state)
 
 
 class _SpanLabels(dict):

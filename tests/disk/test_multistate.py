@@ -1,6 +1,6 @@
-"""Tests for the multi-state drive, including exact equivalence with the
-classic two-state drive and energy conservation across descent/ascent
-cycles (wake transitions bill spin-up power for the *configured* wake
+"""Tests for ladder drives, including exact equivalence between the
+``two_state`` ladder and the spec's two-rung table and energy conservation
+across descent/ascent cycles (wake transitions bill spin-up power for the *configured* wake
 time; descents are explicit, non-abortable transitions)."""
 
 import math
@@ -13,7 +13,6 @@ from repro.disk import (
     DiskDrive,
     DpmLadder,
     LadderRung,
-    MultiStateDiskDrive,
     ST3500630AS,
     make_dpm_ladder,
 )
@@ -31,12 +30,20 @@ NAP_LADDER = [
 
 
 def feed(env, drive, times, size=72 * MB):
+    """Submit one request per time; returns the list the requests fill."""
+    requests = []
+
     def feeder(env):
         for t in times:
             yield env.timeout(t - env.now)
-            drive.submit(0, size)
+            requests.append(drive.submit(0, size))
 
     env.process(feeder(env))
+    return requests
+
+
+def mean_response(requests):
+    return float(np.mean([r.done.value for r in requests]))
 
 
 class TestLadderValidation:
@@ -64,6 +71,11 @@ class TestLadderValidation:
                     LadderRung("standby", 0.8, entry=20.0),
                 ),
             )
+
+    def test_nan_figure_rejected(self):
+        # ``nan < 0`` is false; the guard must not let NaN through.
+        with pytest.raises(ConfigError, match="down_time"):
+            LadderRung("nap", 4.0, entry=10.0, down_time=math.nan)
 
     def test_reserved_names_rejected(self):
         with pytest.raises(ConfigError):
@@ -107,9 +119,7 @@ class TestScaledEntries:
 class TestBasicService:
     def test_serves_fifo(self):
         env = Environment()
-        drive = MultiStateDiskDrive(
-            env, SPEC, MultiStateDpmPolicy(NAP_LADDER)
-        )
+        drive = DiskDrive(env, SPEC, ladder=MultiStateDpmPolicy(NAP_LADDER))
         first = drive.submit(0, 72 * MB)
         second = drive.submit(1, 72 * MB)
         env.run(until=second.done)
@@ -117,21 +127,19 @@ class TestBasicService:
 
     def test_negative_size_rejected(self):
         env = Environment()
-        drive = MultiStateDiskDrive(
-            env, SPEC, MultiStateDpmPolicy(NAP_LADDER)
-        )
+        drive = DiskDrive(env, SPEC, ladder=MultiStateDpmPolicy(NAP_LADDER))
         with pytest.raises(SimulationError):
             drive.submit(0, -1.0)
 
     def test_descends_ladder_when_idle(self):
         env = Environment()
-        drive = MultiStateDiskDrive(env, SPEC, MultiStateDpmPolicy(NAP_LADDER))
+        drive = DiskDrive(env, SPEC, ladder=MultiStateDpmPolicy(NAP_LADDER))
         ladder = drive.ladder
         t1, t2 = ladder.rungs[1].entry, ladder.rungs[2].entry
         env.run(until=(t1 + t2) / 2)
-        assert drive.state_name == "nap"
+        assert drive.state == "nap"
         env.run(until=t2 + ladder.rungs[2].down_time + 1.0)
-        assert drive.state_name == "standby"
+        assert drive.state == "standby"
         assert not drive.spinning
 
     def test_descent_is_not_abortable(self):
@@ -139,13 +147,13 @@ class TestBasicService:
         # pays the wake — exactly the classic SPINDOWN semantics.
         env = Environment()
         ladder = make_dpm_ladder("two_state", SPEC)
-        drive = MultiStateDiskDrive(env, SPEC, ladder)
+        drive = DiskDrive(env, SPEC, ladder=ladder)
         entry = ladder.rungs[1].entry
         arrival = entry + SPEC.spindown_time / 2
-        feed(env, drive, [arrival])
+        requests = feed(env, drive, [arrival])
         env.run(until=arrival + 100.0)
         expected_start = entry + SPEC.spindown_time + SPEC.spinup_time
-        response = drive.stats.response.mean
+        response = mean_response(requests)
         assert response == pytest.approx(
             expected_start - arrival + SPEC.access_overhead + 1.0, abs=1e-9
         )
@@ -156,10 +164,10 @@ class TestBasicService:
 
         def response_after(idle_gap):
             env = Environment()
-            drive = MultiStateDiskDrive(env, SPEC, policy)
-            feed(env, drive, [idle_gap])
+            drive = DiskDrive(env, SPEC, ladder=policy)
+            requests = feed(env, drive, [idle_gap])
             env.run(until=idle_gap + 200.0)
-            return drive.stats.response.mean
+            return mean_response(requests)
 
         from_nap = response_after((t1 + t2) / 2)
         from_standby = response_after(t2 * 3)
@@ -169,11 +177,11 @@ class TestBasicService:
     def test_arrival_before_first_threshold_no_penalty(self):
         env = Environment()
         policy = MultiStateDpmPolicy(NAP_LADDER)
-        drive = MultiStateDiskDrive(env, SPEC, policy)
-        feed(env, drive, [10.0])
+        drive = DiskDrive(env, SPEC, ladder=policy)
+        requests = feed(env, drive, [10.0])
         env.run(until=100.0)
         assert drive.stats.spinups == 0
-        assert drive.stats.response.mean == pytest.approx(
+        assert mean_response(requests) == pytest.approx(
             1.0 + SPEC.access_overhead, abs=1e-6
         )
 
@@ -181,19 +189,18 @@ class TestBasicService:
         # Halving the drive's threshold halves the first descent time.
         env = Environment()
         ladder = make_dpm_ladder("nap", SPEC)
-        drive = MultiStateDiskDrive(
-            env, SPEC, ladder, idleness_threshold=ladder.base_threshold / 2
+        drive = DiskDrive(
+            env, SPEC, ladder=ladder,
+            idleness_threshold=ladder.base_threshold / 2,
         )
         env.run(until=ladder.base_threshold / 2 + ladder.rungs[1].down_time + 0.5)
-        assert drive.state_name == "nap"
+        assert drive.state == "nap"
 
 
 class TestEnergyAccounting:
     def test_durations_cover_elapsed(self):
         env = Environment()
-        drive = MultiStateDiskDrive(
-            env, SPEC, MultiStateDpmPolicy(NAP_LADDER)
-        )
+        drive = DiskDrive(env, SPEC, ladder=MultiStateDpmPolicy(NAP_LADDER))
         feed(env, drive, [50.0, 400.0, 2_000.0])
         env.run(until=5_000.0)
         assert sum(drive.state_durations().values()) == pytest.approx(5_000.0)
@@ -207,7 +214,7 @@ class TestEnergyAccounting:
         """
         env = Environment()
         ladder = make_dpm_ladder("drpm4", SPEC)
-        drive = MultiStateDiskDrive(env, SPEC, ladder)
+        drive = DiskDrive(env, SPEC, ladder=ladder)
         rng = np.random.default_rng(3)
         times = np.cumsum(rng.exponential(90.0, size=80))
         feed(env, drive, times)
@@ -229,28 +236,30 @@ class TestEnergyAccounting:
         assert sum(durations.values()) == pytest.approx(env.now)
 
     def test_two_state_ladder_matches_classic_drive_exactly(self):
-        """The generalized drive with Table 2's two-state ladder is the
-        classic DiskDrive bit for bit: same spin transitions, same
-        response times, same energy."""
+        """The drive with Table 2's two-state ladder runs like the same
+        drive over its spec's two-rung table, bit for bit: same spin
+        transitions, same response times, same energy."""
         rng = np.random.default_rng(5)
         times = np.cumsum(rng.exponential(120.0, size=300))
 
         env_a = Environment()
         classic = DiskDrive(env_a, SPEC)  # break-even threshold
-        feed(env_a, classic, times)
+        classic_requests = feed(env_a, classic, times)
         env_a.run(until=float(times[-1]) + 100.0)
 
         env_b = Environment()
-        modern = MultiStateDiskDrive(
-            env_b, SPEC, make_dpm_ladder("two_state", SPEC)
+        modern = DiskDrive(
+            env_b, SPEC, ladder=make_dpm_ladder("two_state", SPEC)
         )
-        feed(env_b, modern, times)
+        modern_requests = feed(env_b, modern, times)
         env_b.run(until=float(times[-1]) + 100.0)
 
         assert modern.stats.spinups == classic.stats.spinups
         assert modern.stats.spindowns == classic.stats.spindowns
         assert modern.stats.completions == classic.stats.completions
-        assert modern.stats.response.mean == classic.stats.response.mean
+        assert [r.done.value for r in modern_requests] == [
+            r.done.value for r in classic_requests
+        ]
         assert modern.energy() == classic.energy()
         mapping = {
             "idle": "idle",
@@ -273,20 +282,20 @@ class TestEnergyAccounting:
 
         env_a = Environment()
         classic = DiskDrive(env_a, SPEC)
-        feed(env_a, classic, times)
+        classic_requests = feed(env_a, classic, times)
         env_a.run(until=float(times[-1]) + 100.0)
 
         env_b = Environment()
-        modern = MultiStateDiskDrive(
-            env_b, SPEC, MultiStateDpmPolicy.two_state(SPEC)
+        modern = DiskDrive(
+            env_b, SPEC, ladder=MultiStateDpmPolicy.two_state(SPEC)
         )
-        feed(env_b, modern, times)
+        modern_requests = feed(env_b, modern, times)
         env_b.run(until=float(times[-1]) + 100.0)
 
         assert modern.stats.spinups == classic.stats.spinups
         assert modern.energy() == pytest.approx(classic.energy(), rel=1e-9)
-        assert modern.stats.response.mean == pytest.approx(
-            classic.stats.response.mean, rel=1e-9
+        assert mean_response(modern_requests) == pytest.approx(
+            mean_response(classic_requests), rel=1e-9
         )
 
     def test_nap_state_saves_energy_on_medium_gaps(self):
@@ -299,7 +308,7 @@ class TestEnergyAccounting:
 
         def run(policy):
             env = Environment()
-            drive = MultiStateDiskDrive(env, SPEC, policy)
+            drive = DiskDrive(env, SPEC, ladder=policy)
             feed(env, drive, times)
             env.run(until=float(times[-1]) + 10.0)
             return drive.energy()
@@ -311,9 +320,7 @@ class TestEnergyAccounting:
 
     def test_gap_log_matches_classic_contract(self):
         env = Environment()
-        drive = MultiStateDiskDrive(
-            env, SPEC, make_dpm_ladder("nap", SPEC)
-        )
+        drive = DiskDrive(env, SPEC, ladder=make_dpm_ladder("nap", SPEC))
         drive.log_gaps = True
         feed(env, drive, [40.0, 45.0, 300.0])
         env.run(until=400.0)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import EmptySchedule, Environment, Interrupt
+from repro.sim import EmptySchedule, Environment
 
 
 class TestScheduling:
@@ -134,18 +134,6 @@ class TestRun:
         env.run()
         assert stamps == sorted(stamps)
 
-    def test_active_process_tracking(self, env):
-        observed = []
-
-        def proc(env):
-            observed.append(env.active_process)
-            yield env.timeout(1.0)
-
-        p = env.process(proc(env))
-        env.run()
-        assert observed == [p]
-        assert env.active_process is None
-
     def test_stale_stop_event_from_aborted_run_is_ignored(self, env):
         # Regression: if run(until=T) aborts on a crashed process, its stop
         # event must not terminate a later run early.
@@ -183,24 +171,20 @@ class TestRun:
 
 
 def _busy_scenario(env, log):
-    """Same-instant-heavy mix of timeouts, conditions, interrupts, failures."""
+    """Same-instant-heavy mix of timeouts, zero delays, process joins and
+    handled failures."""
 
     def worker(env, name, delays):
         for d in delays:
-            try:
-                yield env.timeout(d)
-            except Interrupt as irq:
-                log.append((env.now, name, "irq", irq.cause))
-                continue
+            yield env.timeout(d)
             log.append((env.now, name))
+        return name
 
-    def poker(env, victim):
-        yield env.timeout(1.0)
-        victim.interrupt("poke")
-        yield env.any_of([env.timeout(1.0), env.timeout(0.0)])
-        log.append((env.now, "poker", "any"))
-        yield env.all_of([env.timeout(1.0), env.timeout(2.0)])
-        log.append((env.now, "poker", "all"))
+    def joiner(env, child):
+        name = yield child
+        log.append((env.now, "join", name))
+        yield env.timeout(0.0)
+        log.append((env.now, "join", "zero"))
 
     def fragile(env):
         yield env.timeout(2.0)
@@ -211,10 +195,16 @@ def _busy_scenario(env, log):
             yield env.process(fragile(env))
         except KeyError:
             log.append((env.now, "guard", "caught"))
+        failed = env.event()
+        failed.fail(RuntimeError("handled here"))
+        try:
+            yield failed
+        except RuntimeError:
+            log.append((env.now, "guard", "defused"))
 
     a = env.process(worker(env, "a", [1.0, 1.0, 0.0, 2.0]))
     env.process(worker(env, "b", [0.0, 1.0, 1.0, 1.0]))
-    env.process(poker(env, a))
+    env.process(joiner(env, a))
     env.process(guard(env))
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, AnyOf, Environment, Interrupt, Timeout
+from repro.sim import Timeout
 
 
 class TestEvent:
@@ -53,6 +53,10 @@ class TestEvent:
         with pytest.raises(RuntimeError, match="boom"):
             env.run()
 
+    def test_event_is_bound_to_its_environment(self, env):
+        assert env.event().env is env
+        assert env.timeout(1.0).env is env
+
     def test_callbacks_receive_event(self, env):
         ev = env.event()
         seen = []
@@ -97,14 +101,20 @@ class TestTimeout:
         env.run()
         assert order == ["a", "b"] and env.now == 2.0
 
+    def test_delay_counts_from_creation_time(self, env):
+        env.run(until=3.0)
+        t = env.timeout(2.0)
+        env.run(until=t)
+        assert env.now == 5.0
+
     def test_zero_delay_fires_immediately(self, env):
         t = env.timeout(0.0)
         env.run(until=t)
         assert env.now == 0.0
 
     def test_pending_timeout_is_triggered_but_not_processed(self, env):
-        # Regression guard: a Timeout is 'triggered' from construction but
-        # must not count as having occurred (the Condition bug).
+        # A Timeout is 'triggered' from construction but must not count as
+        # having occurred until the loop reaches it.
         t = env.timeout(10.0)
         assert t.triggered
         assert not t.processed
@@ -221,183 +231,3 @@ class TestProcess:
     def test_non_generator_rejected(self, env):
         with pytest.raises(TypeError):
             env.process(lambda: None)
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_process_early(self, env):
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-                log.append("slept")
-            except Interrupt as i:
-                log.append(("interrupted", env.now, i.cause))
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(3.0)
-            p.interrupt(cause="wakeup")
-
-        env.process(interrupter(env))
-        env.run()
-        assert log == [("interrupted", 3.0, "wakeup")]
-
-    def test_interrupted_process_can_continue(self, env):
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                pass
-            yield env.timeout(1.0)
-            log.append(env.now)
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(3.0)
-            p.interrupt()
-
-        env.process(interrupter(env))
-        env.run()
-        assert log == [4.0]
-
-    def test_orphaned_timeout_does_not_double_resume(self, env):
-        # After an interrupt, the original timeout must not resume the
-        # process a second time when it eventually fires.
-        resumes = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(10.0)
-                resumes.append("timeout")
-            except Interrupt:
-                resumes.append("interrupt")
-            yield env.timeout(50.0)  # outlive the orphaned timeout
-            resumes.append("end")
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(1.0)
-            p.interrupt()
-
-        env.process(interrupter(env))
-        env.run()
-        assert resumes == ["interrupt", "end"]
-
-    def test_interrupting_dead_process_raises(self, env):
-        def proc(env):
-            yield env.timeout(1.0)
-
-        p = env.process(proc(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_self_interrupt_rejected(self, env):
-        errors = []
-
-        def proc(env):
-            try:
-                env.process_handle.interrupt()
-            except SimulationError as exc:
-                errors.append(str(exc))
-            yield env.timeout(1.0)
-
-        # Pass the process handle via the env for the closure.
-        gen = proc(env)
-        env.process_handle = env.process(gen)
-        env.run()
-        assert len(errors) == 1
-
-    def test_uncaught_interrupt_kills_process(self, env):
-        def sleeper(env):
-            yield env.timeout(100.0)
-
-        p = env.process(sleeper(env))
-
-        def interrupter(env):
-            yield env.timeout(1.0)
-            p.interrupt()
-
-        env.process(interrupter(env))
-        with pytest.raises(Interrupt):
-            env.run()
-
-    def test_interrupt_cause_accessor(self):
-        assert Interrupt("why").cause == "why"
-        assert Interrupt().cause is None
-
-
-class TestConditions:
-    def test_any_of_fires_on_first(self, env):
-        t1 = env.timeout(5.0, value="fast")
-        t2 = env.timeout(10.0, value="slow")
-        cond = AnyOf(env, [t1, t2])
-        result = env.run(until=cond)
-        assert env.now == 5.0
-        assert result == {t1: "fast"}
-
-    def test_any_of_does_not_fire_early_for_pending_timeouts(self, env):
-        # Regression: AnyOf over (fresh event, pending timeout) must wait.
-        wake = env.event()
-        timer = env.timeout(100.0)
-        cond = AnyOf(env, [wake, timer])
-        env.run(until=50.0)
-        assert not cond.processed
-        env.run(until=150.0)
-        assert cond.processed
-        assert timer in cond.value and wake not in cond.value
-
-    def test_all_of_waits_for_all(self, env):
-        t1 = env.timeout(5.0, value=1)
-        t2 = env.timeout(10.0, value=2)
-        cond = AllOf(env, [t1, t2])
-        result = env.run(until=cond)
-        assert env.now == 10.0
-        assert result == {t1: 1, t2: 2}
-
-    def test_empty_condition_succeeds_immediately(self, env):
-        cond = AllOf(env, [])
-        env.run(until=cond)
-        assert cond.value == {}
-
-    def test_condition_failure_propagates(self, env):
-        ev = env.event()
-        bad = env.event()
-        cond = AnyOf(env, [ev, bad])
-        bad.fail(RuntimeError("inner"))
-        with pytest.raises(RuntimeError, match="inner"):
-            env.run(until=cond)
-
-    def test_late_failure_after_condition_settled_is_defused(self, env):
-        fast = env.timeout(1.0)
-        slow = env.event()
-        cond = AnyOf(env, [fast, slow])
-        env.run(until=cond)
-        slow.fail(RuntimeError("late"))
-        env.run(until=10.0)  # must not raise
-
-    def test_condition_value_of_accessor(self, env):
-        t = env.timeout(1.0, value="v")
-        cond = AnyOf(env, [t])
-        env.run(until=cond)
-        assert cond.value.of(t) == "v"
-
-    def test_cross_environment_condition_rejected(self, env):
-        other = Environment()
-        t = other.timeout(1.0)
-        with pytest.raises(SimulationError):
-            AnyOf(env, [t])
-
-    def test_already_processed_event_counts(self, env):
-        t = env.timeout(1.0, value="x")
-        env.run(until=2.0)
-        assert t.processed
-        cond = AllOf(env, [t])
-        env.run(until=cond)
-        assert cond.value == {t: "x"}

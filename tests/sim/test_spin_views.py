@@ -18,7 +18,6 @@ from repro.disk.specs import ST3500630AS, WD10EADS
 from repro.disk.array import DiskArray
 from repro.disk.dpm import make_dpm_ladder
 from repro.disk.drive import DiskDrive
-from repro.disk.multistate import MultiStateDiskDrive
 from repro.sim import Environment
 from repro.sim.fastkernel import _Bank
 from repro.system.dispatcher import Dispatcher
@@ -124,10 +123,10 @@ def test_bank_tie_path_reads_instant_start_state():
 
 
 def _reference_spinning(drive):
-    if isinstance(drive, DiskDrive):
+    if drive.ladder is None:
         return drive.state.spinning
     rungs = drive.ladder.rungs
-    return not (len(rungs) > 1 and drive.state_name == rungs[-1].name)
+    return not (len(rungs) > 1 and drive.state == rungs[-1].name)
 
 
 def _probe_run(ladder):
@@ -169,9 +168,10 @@ def _probe_run(ladder):
 
 
 def test_event_spin_view_matches_drives_mid_run():
-    for ladder, cls in ((None, DiskDrive), ("drpm4", MultiStateDiskDrive)):
+    for ladder in (None, "drpm4"):
         array, views = _probe_run(ladder)
-        assert all(type(d) is cls for d in array.disks)
+        assert all(type(d) is DiskDrive for d in array.disks)
+        assert all((d.ladder is None) == (ladder is None) for d in array.disks)
         assert views
         for view, spinning, reference in views:
             assert view == spinning == reference

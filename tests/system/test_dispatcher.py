@@ -187,7 +187,7 @@ class TestWrites:
         array, disp = build(env)
         disp.submit(1, kind="write")
         env.run(until=100.0)
-        assert array[1].stats.writes == 1
+        assert array[1].stats.completions == 1
         assert disp.write_count == 1
 
     def test_new_file_prefers_spinning_disk(self):
@@ -211,7 +211,8 @@ class TestWrites:
         env.run(until=100.0)
         # The write landed on the spinning disk 0, not standby disk 1.
         assert disp.mapping[1] == 0
-        assert array[0].stats.writes == 1
+        assert array[0].stats.completions == 2  # the read and the write
+        assert array[1].stats.arrivals == 0
 
     def test_write_capacity_error(self, env):
         sizes = np.array([400 * GB, 200 * GB])
@@ -239,7 +240,7 @@ class TestWrites:
         disp.submit(2, kind="write")
         env.run(until=10_000.0)
         assert disp.mapping[2] == 0  # 200 GB free beats 400 GB free
-        assert array[0].stats.writes == 1
+        assert array[0].stats.completions == 1
 
     def test_standby_fallback_is_worst_fit(self):
         # Whole pool asleep: the fallback wakes the disk with the *most*
@@ -258,7 +259,7 @@ class TestWrites:
         env.process(scenario(env))
         env.run(until=10_000.0)
         assert disp.mapping[2] == 2  # untouched disk 2 has the most space
-        assert array[2].stats.writes == 1
+        assert array[2].stats.completions == 1
 
 
 class TestDriveStream:

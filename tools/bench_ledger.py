@@ -151,8 +151,10 @@ def measure(args) -> int:
 def compare(old_path: str, new_path: str) -> int:
     old = json.loads(Path(old_path).read_text())
     new = json.loads(Path(new_path).read_text())
-    print(f"{old['label']} ({old['commit'][:9]}) -> "
-          f"{new['label']} ({new['commit'][:9]})")
+    # Full ``git describe`` strings: a tree and its dirty child share
+    # every prefix of the commit hash and differ only in ``-dirty``.
+    print(f"{old['label']} ({old['commit']}) -> "
+          f"{new['label']} ({new['commit']})")
     for w, entry in new["workloads"].items():
         if w not in old["workloads"]:
             continue
